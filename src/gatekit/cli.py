@@ -14,6 +14,7 @@ import argparse
 import json
 import secrets
 import sys
+from pathlib import Path
 
 from . import dsl
 from .algos import FactorReport, build_bell, build_shor15, run_shor15_pipeline
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_circuit(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return dsl.parse(text)
 
 

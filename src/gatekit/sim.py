@@ -10,10 +10,15 @@ Conventions:
 
 Gates act via strided axis updates on the reshaped amplitude tensor; the
 full 2^n x 2^n matrix of a gate is never materialized.
+
+run_shots and exact_distribution share one depth-first walk over measurement
+histories (`_walk`).  A node holds one state row; at a measure it splits
+into its live outcomes, by each shot's own draw when sampling or by branch
+probability when enumerating, so every reachable history is simulated once
+however many shots follow it.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,26 +105,24 @@ class ExactDistribution:
 
 
 # ---------------------------------------------------------------------------
-# kernels over batched amplitudes (shape (batch, 2^n)), all updating in place
-
-
-def _axis(n: int, q: int) -> int:
-    # Batch axis is 0; qubit q sits at tensor axis 1 + (n-1-q) because the
-    # amplitude index has qubit 0 as its least-significant bit.
-    return 1 + (n - 1 - q)
+# kernels over one state row (2^n amplitudes), all updating in place
 
 
 def _sel(n: int, bits: dict[int, int]) -> tuple:
-    """Index tuple picking the subspace where each given qubit has a fixed bit."""
-    sel = [slice(None)] * (n + 1)
+    """Index tuple picking the subspace where each given qubit has a fixed bit.
+
+    Qubit q sits at tensor axis n-1-q because the amplitude index has qubit 0
+    as its least-significant bit.
+    """
+    sel = [slice(None)] * n
     for q, bit in bits.items():
-        sel[_axis(n, q)] = bit
+        sel[n - 1 - q] = bit
     return tuple(sel)
 
 
-def _apply_1q(states: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
+def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
     """Any 2x2 unitary as a strided update over the qubit's amplitude pairs."""
-    t = states.reshape((states.shape[0],) + (2,) * n)
+    t = amps.reshape((2,) * n)
     s0, s1 = _sel(n, {q: 0}), _sel(n, {q: 1})
     low = t[s0].copy()
     t[s0] *= u[0, 0]
@@ -128,34 +131,31 @@ def _apply_1q(states: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
     t[s1] += u[1, 0] * low
 
 
-def _apply_perm(states: np.ndarray, n: int, sel_a: tuple, sel_b: tuple) -> None:
+def _apply_perm(amps: np.ndarray, n: int, sel_a: tuple, sel_b: tuple) -> None:
     """Exchange two disjoint subspaces (cnot, toffoli, swap)."""
-    t = states.reshape((states.shape[0],) + (2,) * n)
+    t = amps.reshape((2,) * n)
     tmp = t[sel_a].copy()
     t[sel_a] = t[sel_b]
     t[sel_b] = tmp
 
 
-def _apply_phase(states: np.ndarray, n: int, sel: tuple, factor: complex) -> None:
-    t = states.reshape((states.shape[0],) + (2,) * n)
+def _apply_phase(amps: np.ndarray, n: int, sel: tuple, factor: complex) -> None:
+    t = amps.reshape((2,) * n)
     t[sel] *= factor
 
 
-def _measure_batch(states: np.ndarray, n: int, q: int, draws: np.ndarray) -> np.ndarray:
-    """Collapse qubit q in place for every row; returns the outcome per row."""
-    batch = states.shape[0]
-    t = states.reshape((batch,) + (2,) * n)
-    sel0, sel1 = _sel(n, {q: 0}), _sel(n, {q: 1})
-    p0 = np.sum(np.abs(t[sel0].reshape(batch, -1)) ** 2, axis=1)
-    p1 = np.sum(np.abs(t[sel1].reshape(batch, -1)) ** 2, axis=1)
-    outcome = draws < p1
-    selected = np.where(outcome, p1, p0)
-    if np.any(selected < MIN_BRANCH_PROB):
+def _branch_probs(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
+    """(p0, p1) of measuring qubit q."""
+    t = amps.reshape((2,) * n)
+    return tuple(float(np.sum(np.abs(t[_sel(n, {q: b})].reshape(-1)) ** 2)) for b in (0, 1))
+
+
+def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float) -> None:
+    """Project onto qubit q == outcome in place and renormalize by p."""
+    if p < MIN_BRANCH_PROB:
         raise SimError("measurement branch probability is numerically zero")
-    t[sel0][outcome] = 0.0
-    t[sel1][~outcome] = 0.0
-    states /= np.sqrt(selected)[:, None]
-    return outcome
+    amps.reshape((2,) * n)[_sel(n, {q: 1 - outcome})] = 0.0
+    amps /= np.sqrt(p)
 
 
 def _compile_op(n: int, op: GateOp) -> tuple:
@@ -185,13 +185,13 @@ def _compile_op(n: int, op: GateOp) -> tuple:
     return ("phase", _sel(n, {q[0]: 1, q[1]: 1}), np.exp(1j * op.params[0]))
 
 
-def _exec_unitary(states: np.ndarray, n: int, step: tuple) -> None:
+def _exec_unitary(amps: np.ndarray, n: int, step: tuple) -> None:
     if step[0] == "1q":
-        _apply_1q(states, n, step[1], step[2])
+        _apply_1q(amps, n, step[1], step[2])
     elif step[0] == "perm":
-        _apply_perm(states, n, step[1], step[2])
+        _apply_perm(amps, n, step[1], step[2])
     else:
-        _apply_phase(states, n, step[1], step[2])
+        _apply_phase(amps, n, step[1], step[2])
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +205,9 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     for q in op.qubits:
         if not 0 <= q < state.n:
             raise SimError(f"qubit {q} out of range for {state.n}-qubit state")
-    amps = state.amps[None, :].astype(complex)
+    amps = state.amps.astype(complex)
     _exec_unitary(amps, state.n, _compile_op(state.n, op))
-    return StateVector(state.n, amps[0])
+    return StateVector(state.n, amps)
 
 
 def apply_measure(
@@ -225,12 +225,13 @@ def apply_measure(
         raise SimError(f"qubit {q} out of range for {state.n}-qubit state")
     if not 0 <= c < len(reg.bits):
         raise SimError(f"clbit {c} out of range for {len(reg.bits)}-bit register")
-    amps = state.amps[None, :].copy()
-    draw = np.array([float(rng.random())])
-    outcome = _measure_batch(amps, state.n, q, draw)
+    amps = state.amps.copy()
+    p = _branch_probs(amps, state.n, q)
+    outcome = int(float(rng.random()) < p[1])
+    _collapse(amps, state.n, q, outcome, p[outcome])
     bits = list(reg.bits)
-    bits[c] = int(outcome[0])
-    return StateVector(state.n, amps[0]), ClassicalRegister(bits)
+    bits[c] = outcome
+    return StateVector(state.n, amps), ClassicalRegister(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +248,47 @@ def _compile_plan(circuit: Circuit) -> list[tuple]:
     return [_compile_op(circuit.num_qubits, op) for op in circuit.ops]
 
 
+def _walk(circuit: Circuit, plan: list[tuple], root, split):
+    """Depth-first over measurement histories; yields (key, payload) per leaf.
+
+    A node is one state row plus the classical key and a mode payload.
+    Unitary steps run on the row; at a measure step `split(payload, mi, (p0,
+    p1))` returns the live children as (outcome, payload) pairs, outcome 0
+    first.  Every live child but the last gets a copy of the row; the last
+    collapses the node's own row in place.  Only rows of pending siblings on
+    the current path are held, never one row per shot.
+    """
+    n, nc = circuit.num_qubits, circuit.num_clbits
+    amps = StateVector.zero(n).amps
+    stack = [(0, 0, amps, "0" * nc, root)]
+    while stack:
+        start, mi, amps, key, payload = stack.pop()
+        for i in range(start, len(plan)):
+            step = plan[i]
+            if step[0] != "m":
+                _exec_unitary(amps, n, step)
+                continue
+            _, q, c = step
+            p = _branch_probs(amps, n, q)
+            children = split(payload, mi, p)
+            rows = [amps.copy() for _ in children[1:]] + [amps]
+            for (outcome, sub), row in reversed(list(zip(children, rows))):
+                _collapse(row, n, q, outcome, p[outcome])
+                child_key = key[: nc - 1 - c] + str(outcome) + key[nc - c :]
+                stack.append((i + 1, mi + 1, row, child_key, sub))
+            break
+        else:
+            yield key, payload
+
+
 def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
     """Execute the circuit shots times and count classical-register bitstrings.
 
-    Each shot starts from |0...0> with a zeroed register and replays the full
-    instruction list.  Shots run in vectorized chunks; `chunk_size` is purely
-    an execution knob and never changes the returned Counts.
+    Each shot starts from |0...0> with a zeroed register.  Shots share the
+    measurement-branch walk (`_walk`): a node's shots split by their own
+    draw, `u < p1`, so each distinct history is simulated once and a leaf
+    adds its number of shots to its key.  `chunk_size` only bounds how many
+    shots' draws are held at once; it never changes the returned Counts.
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
@@ -262,9 +298,8 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
 
     plan = _compile_plan(circuit)
-    n, nc = circuit.num_qubits, circuit.num_clbits
     n_meas = sum(1 for step in plan if step[0] == "m")
-    counter: Counter[str] = Counter()
+    counts: dict[str, int] = {}
 
     for start in range(0, shots, chunk_size):
         size = min(chunk_size, shots - start)
@@ -272,30 +307,22 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
         for i in range(size):
             draws[i] = _shot_stream(seed, start + i).random(n_meas)
 
-        states = np.zeros((size, 2**n), dtype=complex)
-        states[:, 0] = 1.0
-        creg = np.zeros((size, nc), dtype=np.uint8)
+        def split(idx, mi, p):
+            one = draws[idx, mi] < p[1]
+            return [(b, group) for b, group in ((0, idx[~one]), (1, idx[one])) if len(group)]
 
-        mi = 0
-        for step in plan:
-            if step[0] == "m":
-                outcome = _measure_batch(states, n, step[1], draws[:, mi])
-                creg[:, step[2]] = outcome
-                mi += 1
-            else:
-                _exec_unitary(states, n, step)
+        for key, idx in _walk(circuit, plan, np.arange(size), split):
+            counts[key] = counts.get(key, 0) + len(idx)
 
-        counter.update("".join("1" if b else "0" for b in row[::-1]) for row in creg)
-
-    return Counts(dict(counter), shots)
+    return Counts(counts, shots)
 
 
 def exact_distribution(circuit: Circuit) -> ExactDistribution:
-    """Exact outcome probabilities by enumerating every measurement branch.
+    """Exact outcome probabilities by expanding every measurement branch.
 
-    Depth-first over both outcomes of each measure op, weighting branches by
-    probability and skipping numerically-zero ones.  Independent of the
-    sampling path: no random draws involved.
+    The same walk as `run_shots` (`_walk`), with a probability weight in
+    place of the shots: each branch with p > MIN_BRANCH_PROB is followed with
+    weight w*p, and a leaf adds its weight to its key.  No random draws.
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
@@ -303,38 +330,10 @@ def exact_distribution(circuit: Circuit) -> ExactDistribution:
     if n_meas > MEASURE_BRANCH_CAP:
         raise BranchCapError(f"{n_meas} measure ops exceeds the {MEASURE_BRANCH_CAP}-branch cap")
 
-    plan = _compile_plan(circuit)
-    n, nc = circuit.num_qubits, circuit.num_clbits
+    def split(weight, mi, p):
+        return [(b, weight * p[b]) for b in (0, 1) if p[b] > MIN_BRANCH_PROB]
+
     probs: dict[str, float] = {}
-
-    def walk(amps: np.ndarray, bits: list[int], idx: int, weight: float) -> None:
-        for i in range(idx, len(plan)):
-            step = plan[i]
-            if step[0] != "m":
-                _exec_unitary(amps[None, :], n, step)
-                continue
-            _, q, c = step
-            t = amps.reshape((2,) * n)
-            ax = n - 1 - q
-            sel0 = [slice(None)] * n
-            sel1 = [slice(None)] * n
-            sel0[ax] = 0
-            sel1[ax] = 1
-            p0 = float(np.sum(np.abs(t[tuple(sel0)]) ** 2))
-            p1 = float(np.sum(np.abs(t[tuple(sel1)]) ** 2))
-            for outcome, p in ((0, p0), (1, p1)):
-                if p <= MIN_BRANCH_PROB:
-                    continue
-                sel = [slice(None)] * n
-                sel[ax] = 1 - outcome
-                branch = t.copy()
-                branch[tuple(sel)] = 0.0
-                branch_bits = list(bits)
-                branch_bits[c] = outcome
-                walk(branch.reshape(-1) / np.sqrt(p), branch_bits, i + 1, weight * p)
-            return
-        key = "".join(str(b) for b in reversed(bits))
+    for key, weight in _walk(circuit, _compile_plan(circuit), 1.0, split):
         probs[key] = probs.get(key, 0.0) + weight
-
-    walk(StateVector.zero(n).amps, [0] * nc, 0, 1.0)
     return ExactDistribution(probs)

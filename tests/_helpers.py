@@ -1,13 +1,24 @@
-"""Shared test utilities: random circuit generation and an independent
-dense-matrix oracle for cross-checking the simulator kernels."""
+"""Shared test utilities: random circuit generation, an independent
+dense-matrix oracle for cross-checking the simulator kernels, and the
+per-shot replay and recursive enumeration that the branch walk replaced,
+kept as oracles for it."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
+from gatekit.errors import SimError
 from gatekit.gates import unitary_of
 from gatekit.ir import Circuit, GateKind
+from gatekit.sim import (
+    MIN_BRANCH_PROB,
+    Counts,
+    ExactDistribution,
+    _compile_plan,
+    _exec_unitary,
+    _shot_stream,
+)
 
 SINGLE_QUBIT = (
     GateKind.H,
@@ -87,3 +98,98 @@ def tv_distance(counts, dist) -> float:
     return 0.5 * sum(
         abs(counts.get(k, 0) / counts.shots - dist.get(k, 0.0)) for k in keys
     )
+
+
+def _row_sel(n: int, q: int, bit: int) -> tuple:
+    """Index tuple over a (batch, 2, ..., 2) tensor fixing qubit q to bit."""
+    sel = [slice(None)] * (n + 1)
+    sel[n - q] = bit
+    return tuple(sel)
+
+
+def _measure_batch(states: np.ndarray, n: int, q: int, draws: np.ndarray) -> np.ndarray:
+    """Collapse qubit q in place for every row; returns the outcome per row."""
+    batch = states.shape[0]
+    t = states.reshape((batch,) + (2,) * n)
+    sel0, sel1 = _row_sel(n, q, 0), _row_sel(n, q, 1)
+    p0 = np.sum(np.abs(t[sel0].reshape(batch, -1)) ** 2, axis=1)
+    p1 = np.sum(np.abs(t[sel1].reshape(batch, -1)) ** 2, axis=1)
+    outcome = draws < p1
+    selected = np.where(outcome, p1, p0)
+    if np.any(selected < MIN_BRANCH_PROB):
+        raise SimError("measurement branch probability is numerically zero")
+    t[sel0][outcome] = 0.0
+    t[sel1][~outcome] = 0.0
+    states /= np.sqrt(selected)[:, None]
+    return outcome
+
+
+def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
+    """run_shots by replaying every instruction on one state row per shot,
+    in chunks of chunk_size shots, with the same per-shot streams."""
+    plan = _compile_plan(circuit)
+    n, nc = circuit.num_qubits, circuit.num_clbits
+    n_meas = sum(1 for step in plan if step[0] == "m")
+    counts: dict[str, int] = {}
+    for start in range(0, shots, chunk_size):
+        size = min(chunk_size, shots - start)
+        draws = np.empty((size, n_meas))
+        for i in range(size):
+            draws[i] = _shot_stream(seed, start + i).random(n_meas)
+        states = np.zeros((size, 2**n), dtype=complex)
+        states[:, 0] = 1.0
+        creg = np.zeros((size, nc), dtype=np.uint8)
+        mi = 0
+        for step in plan:
+            if step[0] == "m":
+                creg[:, step[2]] = _measure_batch(states, n, step[1], draws[:, mi])
+                mi += 1
+            else:
+                for row in states:
+                    _exec_unitary(row, n, step)
+        for row in creg:
+            key = "".join("1" if b else "0" for b in row[::-1])
+            counts[key] = counts.get(key, 0) + 1
+    return Counts(counts, shots)
+
+
+def reference_exact_distribution(circuit: Circuit) -> ExactDistribution:
+    """exact_distribution by recursing into both outcomes of each measure,
+    on a fresh copy of the state per branch."""
+    plan = _compile_plan(circuit)
+    n, nc = circuit.num_qubits, circuit.num_clbits
+    probs: dict[str, float] = {}
+
+    def walk(amps: np.ndarray, bits: list[int], idx: int, weight: float) -> None:
+        for i in range(idx, len(plan)):
+            step = plan[i]
+            if step[0] != "m":
+                _exec_unitary(amps, n, step)
+                continue
+            _, q, c = step
+            t = amps.reshape((2,) * n)
+            ax = n - 1 - q
+            sel0 = [slice(None)] * n
+            sel1 = [slice(None)] * n
+            sel0[ax] = 0
+            sel1[ax] = 1
+            p0 = float(np.sum(np.abs(t[tuple(sel0)]) ** 2))
+            p1 = float(np.sum(np.abs(t[tuple(sel1)]) ** 2))
+            for outcome, p in ((0, p0), (1, p1)):
+                if p <= MIN_BRANCH_PROB:
+                    continue
+                sel = [slice(None)] * n
+                sel[ax] = 1 - outcome
+                branch = t.copy()
+                branch[tuple(sel)] = 0.0
+                branch_bits = list(bits)
+                branch_bits[c] = outcome
+                walk(branch.reshape(-1) / np.sqrt(p), branch_bits, i + 1, weight * p)
+            return
+        key = "".join(str(b) for b in reversed(bits))
+        probs[key] = probs.get(key, 0.0) + weight
+
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    walk(amps, [0] * nc, 0, 1.0)
+    return ExactDistribution(probs)

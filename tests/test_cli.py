@@ -1,6 +1,8 @@
 """CLI: subcommands, exit codes, output formats."""
+import gc
 import io
 import json
+import warnings
 
 import pytest
 
@@ -77,6 +79,15 @@ class TestTranslate:
         out = capsys.readouterr().out
         assert out.startswith("from qiskit import QuantumCircuit")
         assert "qc.cx(0, 1)" in out
+
+
+class TestReadInput:
+    def test_circuit_file_is_closed(self, bell_file, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["print", bell_file]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestPrint:

@@ -1,5 +1,6 @@
 """Simulator: kernels vs dense oracle, measurement collapse, shot sampling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from gatekit.sim import (
     run_shots,
 )
 
-from _helpers import dense_final_state, random_circuit, tv_distance
+from _helpers import (
+    dense_final_state,
+    random_circuit,
+    reference_exact_distribution,
+    reference_run_shots,
+    tv_distance,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -186,6 +193,57 @@ class TestRunShots:
             key = reg.key()
             replayed[key] = replayed.get(key, 0) + 1
         assert replayed == counts.entries
+
+
+class TestBranchWalk:
+    """The branch walk against per-shot replay and recursive enumeration."""
+
+    @staticmethod
+    def _circuits(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 6))
+            circuit = random_circuit(
+                rng, n, int(rng.integers(4, 30)), num_clbits=int(rng.integers(2, 5)),
+                measure_prob=0.3,
+            )
+            circuit.add_gate("measure", [int(rng.integers(n)), 0])
+            yield circuit
+
+    def test_counts_match_per_shot_replay(self):
+        for i, circuit in enumerate(self._circuits(51, 30)):
+            for chunk in (1, 7, 4096):
+                expected = reference_run_shots(circuit, 100, seed=i, chunk_size=chunk)
+                assert run_shots(circuit, 100, seed=i, chunk_size=chunk).entries == expected.entries
+
+    def test_exact_matches_recursive_enumeration(self):
+        for circuit in self._circuits(52, 40):
+            expected = reference_exact_distribution(circuit).entries
+            got = exact_distribution(circuit).entries
+            assert set(got) == set(expected)
+            for key, p in expected.items():
+                assert abs(got[key] - p) <= 1e-12
+
+    def test_sampling_memory_does_not_scale_with_shots(self):
+        # One row per shot would be 2048 x 2^14 x 16 B = 512 MiB; the walk
+        # holds a handful of 256 KiB rows.
+        n = 14
+        c = Circuit(n, 4)
+        for q in range(4):
+            c.add_gate("h", [q])
+        c.add_gate("measure", [0, 0])
+        for q in range(4, n):
+            c.add_gate("cnot", [q - 4, q])
+        for q in range(1, 4):
+            c.add_gate("measure", [q, q])
+        tracemalloc.start()
+        try:
+            counts = run_shots(c, 2048, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.entries.values()) == 2048
+        assert peak < 32 * 2**20
 
 
 class TestExactDistribution:
