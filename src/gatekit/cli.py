@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"gatekit: parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"gatekit: cannot read input: {exc}", file=sys.stderr)
         return 2
     except GatekitError as exc:

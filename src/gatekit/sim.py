@@ -6,7 +6,9 @@ Conventions:
   * measuring draws one uniform u per measure instruction and collapses to
     outcome 1 iff u < p1, then renormalizes the surviving branch;
   * shot s consumes its own substream derived from (seed, s), so shots can
-    execute in any batching/order with identical results.
+    execute in any batching/order with identical results: numpy's
+    default_rng(SeedSequence(entropy=zigzag(seed), spawn_key=(s,))).random(),
+    computed for all shots of a chunk at once by `_draws`.
 
 Gates act via strided axis updates on the reshaped amplitude tensor; the
 full 2^n x 2^n matrix of a gate is never materialized.
@@ -19,6 +21,7 @@ however many shots follow it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,10 +241,102 @@ def apply_measure(
 # shot execution
 
 
-def _shot_stream(seed: int, shot: int) -> np.random.Generator:
-    # Zigzag maps any int seed onto the non-negative entropy SeedSequence needs.
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's running hash constant, as (xor, multiplier) per use."""
+    while True:
+        nxt = init * mult & _M32
+        yield init, nxt
+        init = nxt
+
+
+def _const_cols(consts, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next k hash constants as two (k, 1) uint32 columns."""
+    x, m = zip(*(next(consts) for _ in range(k)))
+    return np.array(x, np.uint32)[:, None], np.array(m, np.uint32)[:, None]
+
+
+def _hash(value, consts):
+    # Works alike on Python ints and on uint32 arrays, which wrap mod 2^32.
+    x, m = consts
+    value = (value ^ x) * m & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _mul128(ah, al, bh, bl):
+    """(a * b) mod 2^128 on (hi, lo) uint64 pairs; mulhi via 32-bit limbs."""
+    a0, a1, b0, b1 = al & _M32, al >> 32, bl & _M32, bl >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    mulhi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return mulhi + al * bh + ah * bl, al * bl
+
+
+def _add128(ah, al, bh, bl):
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
+    """float64[size, n_meas]: row i is shot start+i's n_meas uniforms.
+
+    Bit-identical to default_rng(SeedSequence(entropy=zigzag(seed),
+    spawn_key=(s,))).random(n_meas), computed for all shots at once: the
+    seed-only part of the SeedSequence pool is hashed once as Python ints,
+    the spawn word(s) and generate_state(4, uint64) as uint32 arrays, and
+    PCG64's seeding and draws as 128-bit LCG jumps on uint64 (hi, lo) pairs.
+    """
+    if start < 2**32 < start + size:  # shots >= 2^32 have two spawn words
+        head = 2**32 - start
+        return np.concatenate([_draws(seed, start, head, n_meas), _draws(seed, 2**32, size - head, n_meas)])
+    seed = operator.index(seed)
+    # Zigzag maps any int seed onto the non-negative entropy SeedSequence
+    # needs; its little-endian 32-bit words are zero-padded to the pool size.
     entropy = 2 * seed if seed >= 0 else -2 * seed - 1
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(shot,)))
+    words = [entropy >> 32 * i & _M32 for i in range(max(4, (entropy.bit_length() + 31) // 32))]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hash(w, next(consts)) for w in words[:4]]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = _mix(pool[j], _hash(pool[i], next(consts)))
+    for w in words[4:]:
+        pool = [_mix(p, _hash(w, next(consts))) for p in pool]
+    pool = np.array(pool, np.uint32)[:, None]
+    shot = np.arange(start, start + size, dtype=np.uint64)
+    for i in range(1 + (start >= 2**32)):
+        pool = _mix(pool, _hash((shot >> 32 * i & _M32).astype(np.uint32), _const_cols(consts, 4)))
+    state = _hash(np.tile(pool, (2, 1)), _const_cols(_hash_consts(_INIT_B, _MULT_B), 8)).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = state[0::2] | state[1::2] << 32
+
+    # PCG64 seeding: inc = 2*initseq + 1; state = step(step(0) + initstate),
+    # where step(x) = M*x + inc.  Draw k then reads the state k+1 steps on,
+    # M^(k+2)*(inc + initstate) + (M^(k+1) + ... + 1)*inc, through XSL-RR.
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    base_hi, base_lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    jumps, power, total = [], _PCG_MULT**2 & _M128, _PCG_MULT + 1
+    for _ in range(n_meas):
+        jumps.append(divmod(power, 2**64) + divmod(total, 2**64))
+        power, total = power * _PCG_MULT & _M128, total * _PCG_MULT + 1 & _M128
+    p_hi, p_lo, t_hi, t_lo = np.array(jumps, np.uint64).T
+    hi, lo = _add128(
+        *_mul128(base_hi[:, None], base_lo[:, None], p_hi, p_lo),
+        *_mul128(inc_hi[:, None], inc_lo[:, None], t_hi, t_lo),
+    )
+    x, rot = hi ^ lo, hi >> 58
+    out = x >> rot | x << ((64 - rot) & 63)
+    return (out >> 11) * 2.0**-53
 
 
 def _compile_plan(circuit: Circuit) -> list[tuple]:
@@ -288,7 +383,8 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
     measurement-branch walk (`_walk`): a node's shots split by their own
     draw, `u < p1`, so each distinct history is simulated once and a leaf
     adds its number of shots to its key.  `chunk_size` only bounds how many
-    shots' draws are held at once; it never changes the returned Counts.
+    shots' draws (`_draws`) are held at once; it never changes the returned
+    Counts.
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
@@ -303,9 +399,7 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
 
     for start in range(0, shots, chunk_size):
         size = min(chunk_size, shots - start)
-        draws = np.empty((size, n_meas))
-        for i in range(size):
-            draws[i] = _shot_stream(seed, start + i).random(n_meas)
+        draws = _draws(seed, start, size, n_meas)
 
         def split(idx, mi, p):
             one = draws[idx, mi] < p[1]

@@ -1,7 +1,8 @@
 """Shared test utilities: random circuit generation, an independent
-dense-matrix oracle for cross-checking the simulator kernels, and the
-per-shot replay and recursive enumeration that the branch walk replaced,
-kept as oracles for it."""
+dense-matrix oracle for cross-checking the simulator kernels, numpy's own
+per-shot stream as the oracle for the vectorised draws, and the per-shot
+replay and recursive enumeration that the branch walk replaced, kept as
+oracles for it."""
 from __future__ import annotations
 
 import math
@@ -17,7 +18,6 @@ from gatekit.sim import (
     ExactDistribution,
     _compile_plan,
     _exec_unitary,
-    _shot_stream,
 )
 
 SINGLE_QUBIT = (
@@ -30,6 +30,13 @@ SINGLE_QUBIT = (
     GateKind.RZ,
 )
 TWO_QUBIT = (GateKind.CNOT, GateKind.SWAP, GateKind.CPHASE)
+
+
+def _shot_stream(seed: int, shot: int) -> np.random.Generator:
+    """Shot `shot`'s stream as numpy builds it; `sim._draws` must match it bit for bit."""
+    # Zigzag maps any int seed onto the non-negative entropy SeedSequence needs.
+    entropy = 2 * seed if seed >= 0 else -2 * seed - 1
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(shot,)))
 
 
 def random_circuit(

@@ -10,6 +10,7 @@ from gatekit.cli import main
 from gatekit.dsl import parse
 
 BELL_DOC = "qubits 2\nclbits 2\nh 0\ncnot 0 1\nmeasure 0 -> 0\nmeasure 1 -> 1\n"
+LATIN1_DOC = "# caf\u00e9\n".encode("latin-1") + BELL_DOC.encode()
 BELL_QUIL = "DECLARE ro BIT[2]\nH 0\nCNOT 0 1\nMEASURE 0 ro[0]\nMEASURE 1 ro[1]\n"
 
 
@@ -88,6 +89,21 @@ class TestReadInput:
             assert main(["print", bell_file]) == 0
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.qc"
+        path.write_bytes(LATIN1_DOC)
+        assert main(["print", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("gatekit: cannot read input: ")
+
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(LATIN1_DOC), encoding="utf-8"))
+        assert main(["print", "-"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("gatekit: cannot read input: ")
 
 
 class TestPrint:

@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatekit.errors import BranchCapError, NoMeasurementError, SimError, ValidationError
 from gatekit.ir import Circuit, GateKind, GateOp
 from gatekit.sim import (
     ClassicalRegister,
     StateVector,
+    _draws,
     apply_gate,
     apply_measure,
     exact_distribution,
@@ -17,6 +20,7 @@ from gatekit.sim import (
 )
 
 from _helpers import (
+    _shot_stream,
     dense_final_state,
     random_circuit,
     reference_exact_distribution,
@@ -154,6 +158,13 @@ class TestRunShots:
         with pytest.raises(ValidationError):
             run_shots(build_bell(), 0, 0)
 
+    def test_numpy_integer_seed(self):
+        from gatekit.algos import build_bell
+
+        assert run_shots(build_bell(), 50, np.int64(7)).entries == run_shots(build_bell(), 50, 7).entries
+        with pytest.raises(TypeError):
+            run_shots(build_bell(), 50, 7.0)
+
     def test_repeat_runs_identical(self):
         rng = np.random.default_rng(31)
         circuit = random_circuit(rng, 4, 25, num_clbits=4, measure_prob=0.3)
@@ -173,8 +184,6 @@ class TestRunShots:
     def test_matches_single_state_execution(self):
         # chunk executor and the public single-state ops consume the same
         # per-shot substream, so they must produce identical outcomes
-        from gatekit.sim import _shot_stream
-
         rng = np.random.default_rng(33)
         circuit = random_circuit(rng, 3, 12, num_clbits=3, measure_prob=0.4)
         circuit.add_gate("measure", [2, 2])
@@ -193,6 +202,34 @@ class TestRunShots:
             key = reg.key()
             replayed[key] = replayed.get(key, 0) + 1
         assert replayed == counts.entries
+
+
+def _stream_draws(seed, start, size, n_meas):
+    return np.array([_shot_stream(seed, start + i).random(n_meas) for i in range(size)])
+
+
+class TestDraws:
+    """The vectorised draws against numpy's own per-shot streams, bit for bit."""
+
+    # 2^130 + 3 zigzags to five entropy words, past SeedSequence's pool of four.
+    @pytest.mark.parametrize("seed", [0, 1, 7, -1, -5, 2**32 - 1, 2**32, 2**64, -2**70, 2**130 + 3])
+    def test_matches_numpy_streams(self, seed):
+        # 2^32 - 3 straddles the shot index where the spawn key needs two words
+        for start in (0, 2**32 - 3, 2**40):
+            for n_meas in (1, 3, 8):
+                got = _draws(seed, start, 6, n_meas)
+                assert got.shape == (6, n_meas)
+                assert np.array_equal(got, _stream_draws(seed, start, 6, n_meas)), (start, n_meas)
+
+    @given(
+        st.integers(-(2**200), 2**200),
+        st.integers(0, 2**45),
+        st.integers(1, 5),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_numpy_streams_property(self, seed, start, size, n_meas):
+        assert np.array_equal(_draws(seed, start, size, n_meas), _stream_draws(seed, start, size, n_meas))
 
 
 class TestBranchWalk:
