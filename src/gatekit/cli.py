@@ -11,6 +11,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -35,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused: parse_args keeps no
+    state between calls."""
     parser = _Parser(prog="gatekit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,14 +10,20 @@ Conventions:
     default_rng(SeedSequence(entropy=zigzag(seed), spawn_key=(s,))).random(),
     computed for all shots of a chunk at once by `_draws`.
 
-Gates act via strided axis updates on the reshaped amplitude tensor; the
-full 2^n x 2^n matrix of a gate is never materialized.
+Gates act via strided in-place updates on views of one state row; the full
+2^n x 2^n matrix of a gate is never materialized.  The compiled plan gives
+each step its cheapest exact kernel: a diagonal 1q gate (z, rz) scales the
+two halves of its qubit, an anti-diagonal one (x, y) swaps them, and any
+other runs the general 2x2 update, with results equal under np.array_equal.
 
 run_shots and exact_distribution share one depth-first walk over measurement
 histories (`_walk`).  A node holds one state row; at a measure it splits
 into its live outcomes, by each shot's own draw when sampling or by branch
 probability when enumerating, so every reachable history is simulated once
-however many shots follow it.
+however many shots follow it.  The trailing measures (after the last
+unitary) first reduce the row to the marginal table of their k qubits, once
+per history, and then split rows of 2^k entries: their p1 can differ from a
+per-measure collapse of the full row by a few ulps.
 """
 from __future__ import annotations
 
@@ -134,6 +140,23 @@ def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
     t[s1] += u[1, 0] * low
 
 
+def _apply_diag(amps: np.ndarray, n: int, q: int, d: tuple) -> None:
+    """diag(d0, d1): scale each half of an (outer, 2, inner) view in place,
+    skipping a factor of exactly 1.  Equal to `_apply_1q` under
+    np.array_equal: there the zero entries only add signed zeros."""
+    v = amps.reshape(2 ** (n - 1 - q), 2, 2**q)
+    for b, f in enumerate(d):
+        if f != 1:
+            v[:, b] *= f
+
+
+def _apply_anti(amps: np.ndarray, n: int, q: int, a: tuple) -> None:
+    """[[0, a0], [a1, 0]]: swap the halves, then scale them as `_apply_diag` does."""
+    v = amps.reshape(2 ** (n - 1 - q), 2, 2**q)
+    v[...] = v[:, ::-1]
+    _apply_diag(amps, n, q, a)
+
+
 def _apply_perm(amps: np.ndarray, n: int, sel_a: tuple, sel_b: tuple) -> None:
     """Exchange two disjoint subspaces (cnot, toffoli, swap)."""
     t = amps.reshape((2,) * n)
@@ -165,7 +188,9 @@ def _compile_op(n: int, op: GateOp) -> tuple:
     """Pre-resolve one op into a kernel step.
 
     Steps: ("m", qubit, clbit) for measurement;
-           ("1q", qubit, 2x2 unitary) for any single-qubit gate;
+           ("diag", qubit, (u00, u11)) for a diagonal 1q gate (z, rz);
+           ("anti", qubit, (u01, u10)) for an anti-diagonal 1q gate (x, y);
+           ("1q", qubit, 2x2 unitary) for any other single-qubit gate;
            ("perm", sel_a, sel_b) for subspace exchange (cnot/toffoli/swap);
            ("phase", sel, factor) for a diagonal phase (cphase).
     """
@@ -173,7 +198,12 @@ def _compile_op(n: int, op: GateOp) -> tuple:
     if k is GateKind.MEASURE:
         return ("m", q[0], op.clbit)
     if k.qubit_arity == 1:
-        return ("1q", q[0], gates.unitary_of(k, op.params))
+        u = gates.unitary_of(k, op.params)
+        if u[0, 1] == 0 and u[1, 0] == 0:
+            return ("diag", q[0], (u[0, 0], u[1, 1]))
+        if u[0, 0] == 0 and u[1, 1] == 0:
+            return ("anti", q[0], (u[0, 1], u[1, 0]))
+        return ("1q", q[0], u)
     if k is GateKind.CNOT:
         return ("perm", _sel(n, {q[0]: 1, q[1]: 0}), _sel(n, {q[0]: 1, q[1]: 1}))
     if k is GateKind.TOFFOLI:
@@ -188,13 +218,11 @@ def _compile_op(n: int, op: GateOp) -> tuple:
     return ("phase", _sel(n, {q[0]: 1, q[1]: 1}), np.exp(1j * op.params[0]))
 
 
+_KERNELS = {"1q": _apply_1q, "diag": _apply_diag, "anti": _apply_anti, "perm": _apply_perm, "phase": _apply_phase}
+
+
 def _exec_unitary(amps: np.ndarray, n: int, step: tuple) -> None:
-    if step[0] == "1q":
-        _apply_1q(amps, n, step[1], step[2])
-    elif step[0] == "perm":
-        _apply_perm(amps, n, step[1], step[2])
-    else:
-        _apply_phase(amps, n, step[1], step[2])
+    _KERNELS[step[0]](amps, n, *step[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +368,29 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
 
 
 def _compile_plan(circuit: Circuit) -> list[tuple]:
-    return [_compile_op(circuit.num_qubits, op) for op in circuit.ops]
+    """One step per op, except that the trailing measures (those after the
+    last unitary) are preceded by ("reduce", qubits) over their k distinct
+    qubits in order of first appearance, and measure qubit j of the k-qubit
+    row it leaves.
+    """
+    plan = [_compile_op(circuit.num_qubits, op) for op in circuit.ops]
+    head = max((i + 1 for i, step in enumerate(plan) if step[0] != "m"), default=0)
+    if head == len(plan):
+        return plan
+    qubits = tuple(dict.fromkeys(q for _, q, _ in plan[head:]))
+    return plan[:head] + [("reduce", qubits)] + [("m", qubits.index(q), c) for _, q, c in plan[head:]]
+
+
+def _marginal_row(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
+    """sqrt of the joint distribution of `qubits`, as a real k-qubit row whose
+    qubit j is qubits[j]: |amps|^2 once, then every other qubit summed out,
+    highest first, as one add of its two halves."""
+    t = (np.abs(amps) ** 2).reshape((2,) * n)
+    for q in sorted(set(range(n)) - set(qubits), reverse=True):
+        ix = (slice(None),) * sum(m > q for m in qubits)
+        t = t[ix + (0,)] + t[ix + (1,)]
+    axes = sorted(qubits, reverse=True)
+    return np.sqrt(t.transpose([axes.index(q) for q in reversed(qubits)]).reshape(-1))
 
 
 def _walk(circuit: Circuit, plan: list[tuple], root, split):
@@ -351,15 +401,20 @@ def _walk(circuit: Circuit, plan: list[tuple], root, split):
     p1))` returns the live children as (outcome, payload) pairs, outcome 0
     first.  Every live child but the last gets a copy of the row; the last
     collapses the node's own row in place.  Only rows of pending siblings on
-    the current path are held, never one row per shot.
+    the current path are held, never one row per shot.  A reduce step swaps
+    the row for its k-qubit marginal row (`_marginal_row`), so the trailing
+    measures split and copy 2^k-entry rows.
     """
-    n, nc = circuit.num_qubits, circuit.num_clbits
-    amps = StateVector.zero(n).amps
-    stack = [(0, 0, amps, "0" * nc, root)]
+    nc = circuit.num_clbits
+    stack = [(0, 0, StateVector.zero(circuit.num_qubits).amps, "0" * nc, root)]
     while stack:
         start, mi, amps, key, payload = stack.pop()
+        n = amps.size.bit_length() - 1
         for i in range(start, len(plan)):
             step = plan[i]
+            if step[0] == "reduce":
+                amps, n = _marginal_row(amps, n, step[1]), len(step[1])
+                continue
             if step[0] != "m":
                 _exec_unitary(amps, n, step)
                 continue

@@ -16,7 +16,7 @@ from gatekit.sim import (
     MIN_BRANCH_PROB,
     Counts,
     ExactDistribution,
-    _compile_plan,
+    _compile_op,
     _exec_unitary,
 )
 
@@ -131,10 +131,23 @@ def _measure_batch(states: np.ndarray, n: int, q: int, draws: np.ndarray) -> np.
     return outcome
 
 
+def _reference_plan(circuit: Circuit) -> list[tuple]:
+    """One step per op, every 1q gate as the general ("1q", q, u) update and
+    every measure as ("m", q, c) on the full row: none of the simulator's
+    per-kind kernels or its terminal-measure table."""
+    n = circuit.num_qubits
+    return [
+        ("1q", op.qubits[0], unitary_of(op.kind, op.params))
+        if op.kind is not GateKind.MEASURE and op.kind.qubit_arity == 1
+        else _compile_op(n, op)
+        for op in circuit.ops
+    ]
+
+
 def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
     """run_shots by replaying every instruction on one state row per shot,
     in chunks of chunk_size shots, with the same per-shot streams."""
-    plan = _compile_plan(circuit)
+    plan = _reference_plan(circuit)
     n, nc = circuit.num_qubits, circuit.num_clbits
     n_meas = sum(1 for step in plan if step[0] == "m")
     counts: dict[str, int] = {}
@@ -163,7 +176,7 @@ def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_si
 def reference_exact_distribution(circuit: Circuit) -> ExactDistribution:
     """exact_distribution by recursing into both outcomes of each measure,
     on a fresh copy of the state per branch."""
-    plan = _compile_plan(circuit)
+    plan = _reference_plan(circuit)
     n, nc = circuit.num_qubits, circuit.num_clbits
     probs: dict[str, float] = {}
 

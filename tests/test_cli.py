@@ -58,6 +58,22 @@ class TestExitCodes:
             assert main(argv) == expected, f"{argv} should exit {expected}"
             capsys.readouterr()
 
+    def test_reused_parser_repeats_itself(self, capsys):
+        # main builds its parser once per process; a failed parse must leave
+        # nothing behind for the next call
+        calls = [
+            ["demo", "bell", "--nosuchflag"],
+            ["demo", "bell"],
+            ["factor15", "--shots", "50", "--seed", "3"],
+        ]
+        first = {}
+        for argv in calls + calls[::-1] + calls:
+            code = main(argv)
+            out = capsys.readouterr()
+            first.setdefault(tuple(argv), (code, out.out, out.err))
+            assert (code, out.out, out.err) == first[tuple(argv)], argv
+        assert [first[tuple(argv)][0] for argv in calls] == [1, 0, 0]
+
     def test_diagnostics_go_to_stderr(self, bad_file, nomeasure_file, capsys):
         main(["simulate", bad_file])
         out = capsys.readouterr()

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 from gatekit.errors import BranchCapError, NoMeasurementError, SimError, ValidationError
 from gatekit.ir import Circuit, GateKind, GateOp
+from gatekit.gates import unitary_of
 from gatekit.sim import (
     ClassicalRegister,
     StateVector,
+    _apply_1q,
+    _compile_op,
     _draws,
+    _exec_unitary,
     apply_gate,
     apply_measure,
     exact_distribution,
@@ -85,6 +89,30 @@ class TestApplyGate:
             for op in circuit.ops:
                 state = apply_gate(state, op)
                 assert abs(state.norm_sq() - 1.0) <= 1e-9
+
+
+class TestPlannedKernels:
+    """Each 1q gate's planned kernel against the general 2x2 update, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_equal_to_general_update(self, n):
+        rng = np.random.default_rng(n)
+        cases = [
+            (GateKind.X, (), "anti"),
+            (GateKind.Y, (), "anti"),
+            (GateKind.Z, (), "diag"),
+            (GateKind.RZ, (float(rng.uniform(-2 * math.pi, 2 * math.pi)),), "diag"),
+            (GateKind.RX, (0.0,), "diag"),
+        ]
+        for kind, params, planned in cases:
+            for q in range(n):
+                amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                step = _compile_op(n, GateOp(kind, (q,), params))
+                assert step[0] == planned
+                got, expected = amps.copy(), amps.copy()
+                _exec_unitary(got, n, step)
+                _apply_1q(expected, n, q, unitary_of(kind, params))
+                assert np.array_equal(got, expected), (kind, q)
 
 
 class TestApplyMeasure:
@@ -260,6 +288,57 @@ class TestBranchWalk:
             assert set(got) == set(expected)
             for key, p in expected.items():
                 assert abs(got[key] - p) <= 1e-12
+
+    @staticmethod
+    def _terminal_circuits(seed, count, mid_measure):
+        """Circuits whose measures all follow the last unitary, each block
+        with a repeated qubit and a clbit overwrite; with `mid_measure`, a
+        measure and a further unitary come first."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n, nc = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+            circuit = random_circuit(rng, n, int(rng.integers(4, 20)), num_clbits=nc)
+            if mid_measure:
+                circuit.add_gate("measure", [int(rng.integers(n)), int(rng.integers(nc))])
+                circuit.add_gate("ry", [int(rng.integers(n))], [float(rng.uniform(0.3, 2.8))])
+            block = [(int(rng.integers(n)), int(rng.integers(nc))) for _ in range(int(rng.integers(1, 5)))]
+            q, c = block[0]
+            block += [(q, (c + 1) % nc), (int(rng.integers(n)), c)]
+            for q, c in block:
+                circuit.add_gate("measure", [q, c])
+            yield circuit
+
+    @pytest.mark.parametrize("mid_measure", [False, True])
+    def test_terminal_block_matches_oracles(self, mid_measure):
+        for i, circuit in enumerate(self._terminal_circuits(53 + mid_measure, 15, mid_measure)):
+            for chunk in (1, 7, 4096):
+                expected = reference_run_shots(circuit, 100, seed=i, chunk_size=chunk)
+                assert run_shots(circuit, 100, seed=i, chunk_size=chunk).entries == expected.entries
+            expected = reference_exact_distribution(circuit).entries
+            got = exact_distribution(circuit).entries
+            assert set(got) == set(expected)
+            for key, p in expected.items():
+                assert abs(got[key] - p) <= 1e-12
+
+    def test_terminal_measures_hold_small_rows(self):
+        # The state row is 1 MiB. Splitting full rows at the four trailing
+        # measures would hold up to five more (a 6 MiB peak); the marginal
+        # table has 16 entries.
+        n = 16
+        c = Circuit(n, 4)
+        for q in range(n):
+            c.add_gate("h", [q])
+        for q in range(4):
+            c.add_gate("measure", [3 * q, q])
+        for run in (lambda: exact_distribution(c), lambda: run_shots(c, 1000, 1)):
+            tracemalloc.start()
+            try:
+                result = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result.entries) == 16
+            assert peak < 3 * 2**20
 
     def test_sampling_memory_does_not_scale_with_shots(self):
         # One row per shot would be 2048 x 2^14 x 16 B = 512 MiB; the walk
