@@ -20,10 +20,15 @@ run_shots and exact_distribution share one depth-first walk over measurement
 histories (`_walk`).  A node holds one state row; at a measure it splits
 into its live outcomes, by each shot's own draw when sampling or by branch
 probability when enumerating, so every reachable history is simulated once
-however many shots follow it.  The trailing measures (after the last
-unitary) first reduce the row to the marginal table of their k qubits, once
-per history, and then split rows of 2^k entries: their p1 can differ from a
-per-measure collapse of the full row by a few ulps.
+however many shots follow it.  The plan (`_compile_plan`) runs in
+dependency order: it skips gates outside the light cone of the measured
+qubits, and runs each unitary right after the latest earlier measure it
+depends on, keeping every measure's draw and its order among the measures,
+so a gate runs once, before the walk splits at a measure it does not
+depend on.  The trailing measures (after the last unitary of that order)
+first reduce the row to the marginal table of their k qubits, once per
+history, and then split rows of 2^k entries.  Both can move a p1 by a few
+ulps against a per-measure collapse of the full row in program order.
 """
 from __future__ import annotations
 
@@ -368,12 +373,36 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
 
 
 def _compile_plan(circuit: Circuit) -> list[tuple]:
-    """One step per op, except that the trailing measures (those after the
-    last unitary) are preceded by ("reduce", qubits) over their k distinct
-    qubits in order of first appearance, and measure qubit j of the k-qubit
-    row it leaves.
+    """The circuit's steps in dependency order, with the same measured
+    distributions and the same draw per measure.
+
+    A backward scan keeps every measure and only the unitaries in the light
+    cone of the measured qubits: one that shares a qubit with a later kept
+    measure or kept unitary.  Measures keep their program order, and each
+    kept unitary runs right after the latest earlier measure it depends on,
+    through its qubits or the earlier gates on them, so it runs before every
+    measure it does not depend on.  The trailing measures of that order
+    (those after the last unitary) are preceded by ("reduce", qubits) over
+    their k distinct qubits in order of first appearance, and measure qubit j
+    of the k-qubit row it leaves.
     """
-    plan = [_compile_op(circuit.num_qubits, op) for op in circuit.ops]
+    needed, kept = set(), []
+    for op in reversed(circuit.ops):
+        if op.kind is GateKind.MEASURE or needed.intersection(op.qubits):
+            needed.update(op.qubits)
+            kept.append(op)
+    # Segment i > 0 opens with measure i-1; after[q] is the segment of q's
+    # latest measure or kept unitary so far.
+    after, segments = {}, [[]]
+    for op in reversed(kept):
+        if op.kind is GateKind.MEASURE:
+            segments.append([op])
+            after[op.qubits[0]] = len(segments) - 1
+        else:
+            s = max(after.get(q, 0) for q in op.qubits)
+            segments[s].append(op)
+            after.update((q, s) for q in op.qubits)
+    plan = [_compile_op(circuit.num_qubits, op) for segment in segments for op in segment]
     head = max((i + 1 for i, step in enumerate(plan) if step[0] != "m"), default=0)
     if head == len(plan):
         return plan

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatekit.errors import BranchCapError, NoMeasurementError, SimError, ValidationError
+from gatekit import sim
 from gatekit.ir import Circuit, GateKind, GateOp
 from gatekit.gates import unitary_of
 from gatekit.sim import (
@@ -15,6 +16,7 @@ from gatekit.sim import (
     StateVector,
     _apply_1q,
     _compile_op,
+    _compile_plan,
     _draws,
     _exec_unitary,
     apply_gate,
@@ -319,6 +321,102 @@ class TestBranchWalk:
             assert set(got) == set(expected)
             for key, p in expected.items():
                 assert abs(got[key] - p) <= 1e-12
+
+    @staticmethod
+    def _add_random_gates(rng, circuit, qubits, count):
+        """`count` random unitaries acting only on `qubits`."""
+        for op in random_circuit(rng, len(qubits), count).ops:
+            circuit.add_gate(op.kind.value, [qubits[q] for q in op.qubits], list(op.params))
+
+    @classmethod
+    def _deferred_circuits(cls, seed, count):
+        """Circuits whose plan both drops and reorders: a mid-circuit measure
+        of qubit a followed by gates on other qubits only; a measure of b that
+        overwrites a's clbit; a later gate on a and a second measure of a; and
+        gates on never-measured qubits before, between and after the measures."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n, nc = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+            a, b, *idle = (int(q) for q in rng.permutation(n))
+            c0, c1 = (int(c) for c in rng.choice(nc, size=2, replace=False))
+            circuit = random_circuit(rng, n, int(rng.integers(3, 12)), num_clbits=nc)
+            cls._add_random_gates(rng, circuit, idle, int(rng.integers(0, 4)))
+            circuit.add_gate("measure", [a, c0])
+            cls._add_random_gates(rng, circuit, [b, *idle], int(rng.integers(2, 8)))
+            circuit.add_gate("measure", [b, c0])
+            cls._add_random_gates(rng, circuit, idle, int(rng.integers(0, 4)))
+            circuit.add_gate("ry", [a], [float(rng.uniform(0.3, 2.8))])
+            circuit.add_gate("cnot", [b, a])
+            cls._add_random_gates(rng, circuit, [q for q in range(n) if q != b], int(rng.integers(1, 6)))
+            circuit.add_gate("measure", [a, c1])
+            cls._add_random_gates(rng, circuit, [b, *idle], int(rng.integers(1, 6)))
+            yield circuit
+
+    def test_deferred_plan_matches_oracles(self):
+        for i, circuit in enumerate(self._deferred_circuits(55, 20)):
+            for chunk in (1, 7, 4096):
+                expected = reference_run_shots(circuit, 100, seed=i, chunk_size=chunk)
+                assert run_shots(circuit, 100, seed=i, chunk_size=chunk).entries == expected.entries
+            expected = reference_exact_distribution(circuit).entries
+            got = exact_distribution(circuit).entries
+            assert set(got) == set(expected)
+            for key, p in expected.items():
+                assert abs(got[key] - p) <= 1e-12
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(1, 40),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracles_property(self, seed, n, num_ops, nc):
+        rng = np.random.default_rng(seed)
+        circuit = random_circuit(rng, n, num_ops - 1, num_clbits=nc, measure_prob=0.3)
+        circuit.add_gate("measure", [int(rng.integers(n)), int(rng.integers(nc))])
+        got = exact_distribution(circuit).entries
+        expected = reference_exact_distribution(circuit).entries
+        for key in set(got) | set(expected):
+            assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12
+        assert run_shots(circuit, 200, seed).entries == reference_run_shots(circuit, 200, seed).entries
+
+    @staticmethod
+    def _dependency_circuit():
+        """n=4: h on every qubit, measure 0 -> 0, ten gates on qubits 1-3,
+        measure 1 -> 1, then an h on qubit 3, which is never measured."""
+        c = Circuit(4, 2)
+        for q in range(4):
+            c.add_gate("h", [q])
+        c.add_gate("measure", [0, 0])
+        for name, qubits, params in [
+            ("cnot", [2, 1], []), ("ry", [3], [0.7]), ("cnot", [3, 1], []), ("h", [2], []),
+            ("rz", [1], [0.3]), ("swap", [2, 3], []), ("rx", [1], [1.1]),
+            ("cphase", [1, 2], [0.5]), ("ry", [2], [0.9]), ("cnot", [2, 1], []),
+        ]:
+            c.add_gate(name, qubits, params)
+        c.add_gate("measure", [1, 1])
+        c.add_gate("h", [3])
+        return c
+
+    def test_plan_defers_measure_and_drops_unseen_gate(self):
+        c = self._dependency_circuit()
+        plan = _compile_plan(c)
+        assert [step[0] for step in plan[:14]] == [_compile_op(4, op)[0] for op in c.ops[:4] + c.ops[5:15]]
+        assert plan[14:] == [("reduce", (0, 1)), ("m", 0, 0), ("m", 1, 1)]
+
+    def test_gates_after_a_deferred_measure_run_once(self, monkeypatch):
+        # In program order the ten gates would run on both branches of the
+        # first measure, and the final h on all four histories: 28 calls.
+        calls = []
+        exec_unitary = sim._exec_unitary
+
+        def counting(*args):
+            calls.append(args)
+            exec_unitary(*args)
+
+        monkeypatch.setattr(sim, "_exec_unitary", counting)
+        exact_distribution(self._dependency_circuit())
+        assert len(calls) == 14
 
     def test_terminal_measures_hold_small_rows(self):
         # The state row is 1 MiB. Splitting full rows at the four trailing
