@@ -31,7 +31,6 @@ DIALECTS = ("qiskit", "cirq", "pennylane", "pyquil", "braket")
 class EmittedProgram:
     dialect: str
     source: str
-    line_ending: str = "\n"
 
 
 def _fmt(x: float) -> str:
@@ -258,11 +257,11 @@ def print_circuit(circuit: Circuit) -> str:
         for q in span:
             cursor[q] = col + 1
 
+    widths = [max(map(len, col.values())) for col in columns]
     rows = []
     for q in range(nq):
         row = labels[q]
-        for col in columns:
-            cell_width = max(len(g) for g in col.values())
+        for col, cell_width in zip(columns, widths):
             row += "-" + col.get(q, "").ljust(cell_width, "-")
         rows.append(row + "-")
     return "\n".join(rows) + "\n"

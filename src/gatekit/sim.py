@@ -22,13 +22,13 @@ into its live outcomes, by each shot's own draw when sampling or by branch
 probability when enumerating, so every reachable history is simulated once
 however many shots follow it.  The plan (`_compile_plan`) runs in
 dependency order: it skips gates outside the light cone of the measured
-qubits, and runs each unitary right after the latest earlier measure it
-depends on, keeping every measure's draw and its order among the measures,
-so a gate runs once, before the walk splits at a measure it does not
-depend on.  The trailing measures (after the last unitary of that order)
-first reduce the row to the marginal table of their k qubits, once per
-history, and then split rows of 2^k entries.  Both can move a p1 by a few
-ulps against a per-measure collapse of the full row in program order.
+qubits and runs each unitary before every measure it does not depend on,
+keeping every measure's draw and order.  The row holds only the live
+qubits: a qubit enters at its first kept op and leaves at a measure that
+nothing later reads.  The trailing measures (after the last unitary) first
+reduce the row to the marginal table of their k qubits, once per history,
+and then split rows of 2^k entries.  Each can move a p1 by a few ulps
+against a per-measure collapse of the full row in program order.
 """
 from __future__ import annotations
 
@@ -181,16 +181,25 @@ def _branch_probs(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
     return tuple(float(np.sum(np.abs(t[_sel(n, {q: b})].reshape(-1)) ** 2)) for b in (0, 1))
 
 
-def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float) -> None:
-    """Project onto qubit q == outcome in place and renormalize by p."""
+def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float, close: bool = False) -> np.ndarray:
+    """Project onto qubit q == outcome and renormalize by p, in place; with
+    `close`, return that half as a new (n-1)-qubit row without qubit q."""
     if p < MIN_BRANCH_PROB:
         raise SimError("measurement branch probability is numerically zero")
+    if close:
+        return (amps.reshape(2 ** (n - 1 - q), 2, 2**q)[:, outcome] / np.sqrt(p)).reshape(-1)
     amps.reshape((2,) * n)[_sel(n, {q: 1 - outcome})] = 0.0
     amps /= np.sqrt(p)
+    return amps
 
 
 def _compile_op(n: int, op: GateOp) -> tuple:
-    """Pre-resolve one op into a kernel step.
+    """Pre-resolve one op into a kernel step on an n-qubit row (`_compile_step`)."""
+    return _compile_step(n, op.kind, op.qubits, op.params, op.clbit)
+
+
+def _compile_step(n: int, k: GateKind, q: tuple, params: tuple, clbit) -> tuple:
+    """Pre-resolve one op, given by its parts, into a kernel step.
 
     Steps: ("m", qubit, clbit) for measurement;
            ("diag", qubit, (u00, u11)) for a diagonal 1q gate (z, rz);
@@ -199,11 +208,10 @@ def _compile_op(n: int, op: GateOp) -> tuple:
            ("perm", sel_a, sel_b) for subspace exchange (cnot/toffoli/swap);
            ("phase", sel, factor) for a diagonal phase (cphase).
     """
-    k, q = op.kind, op.qubits
     if k is GateKind.MEASURE:
-        return ("m", q[0], op.clbit)
+        return ("m", q[0], clbit)
     if k.qubit_arity == 1:
-        u = gates.unitary_of(k, op.params)
+        u = gates.unitary_of(k, params)
         if u[0, 1] == 0 and u[1, 0] == 0:
             return ("diag", q[0], (u[0, 0], u[1, 1]))
         if u[0, 0] == 0 and u[1, 1] == 0:
@@ -220,7 +228,7 @@ def _compile_op(n: int, op: GateOp) -> tuple:
     if k is GateKind.SWAP:
         return ("perm", _sel(n, {q[0]: 0, q[1]: 1}), _sel(n, {q[0]: 1, q[1]: 0}))
     assert k is GateKind.CPHASE
-    return ("phase", _sel(n, {q[0]: 1, q[1]: 1}), np.exp(1j * op.params[0]))
+    return ("phase", _sel(n, {q[0]: 1, q[1]: 1}), np.exp(1j * params[0]))
 
 
 _KERNELS = {"1q": _apply_1q, "diag": _apply_diag, "anti": _apply_anti, "perm": _apply_perm, "phase": _apply_phase}
@@ -381,10 +389,14 @@ def _compile_plan(circuit: Circuit) -> list[tuple]:
     measure or kept unitary.  Measures keep their program order, and each
     kept unitary runs right after the latest earlier measure it depends on,
     through its qubits or the earlier gates on them, so it runs before every
-    measure it does not depend on.  The trailing measures of that order
-    (those after the last unitary) are preceded by ("reduce", qubits) over
-    their k distinct qubits in order of first appearance, and measure qubit j
-    of the k-qubit row it leaves.
+    measure it does not depend on.  Steps are compiled over the slots of the
+    row as it is then: a qubit takes the next slot at its first kept op,
+    after one ("grow", k) step for the k qubits that op brings in, and a
+    measure whose qubit no later kept op touches is ("close", slot, clbit),
+    after which the higher slots shift down.  The trailing measures (those
+    after the last unitary) are preceded by a grow of their qubits no gate
+    touched and ("reduce", slots) over their k distinct qubits in order of
+    first appearance, and measure qubit j of the k-qubit row it leaves.
     """
     needed, kept = set(), []
     for op in reversed(circuit.ops):
@@ -402,12 +414,29 @@ def _compile_plan(circuit: Circuit) -> list[tuple]:
             s = max(after.get(q, 0) for q in op.qubits)
             segments[s].append(op)
             after.update((q, s) for q in op.qubits)
-    plan = [_compile_op(circuit.num_qubits, op) for segment in segments for op in segment]
-    head = max((i + 1 for i, step in enumerate(plan) if step[0] != "m"), default=0)
-    if head == len(plan):
-        return plan
-    qubits = tuple(dict.fromkeys(q for _, q, _ in plan[head:]))
-    return plan[:head] + [("reduce", qubits)] + [("m", qubits.index(q), c) for _, q, c in plan[head:]]
+    ops = [op for segment in segments for op in segment]
+    # The last kept op is always a measure, so the trailing table is never empty.
+    head = max((i + 1 for i, op in enumerate(ops) if op.kind is not GateKind.MEASURE), default=0)
+    last = {q: i for i, op in enumerate(ops) for q in op.qubits}
+    live, plan = [], []
+
+    def grow(qubits):
+        new = [q for q in qubits if q not in live]
+        if new:
+            plan.append(("grow", len(new)))
+            live.extend(new)
+
+    for i, op in enumerate(ops[:head]):
+        grow(op.qubits)
+        step = _compile_step(len(live), op.kind, tuple(map(live.index, op.qubits)), op.params, op.clbit)
+        if op.kind is GateKind.MEASURE and last[op.qubits[0]] == i:
+            step = ("close",) + step[1:]
+            live.remove(op.qubits[0])
+        plan.append(step)
+    qubits = tuple(dict.fromkeys(op.qubits[0] for op in ops[head:]))
+    grow(qubits)
+    plan.append(("reduce", tuple(map(live.index, qubits))))
+    return plan + [("m", qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
 
 
 def _marginal_row(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
@@ -425,34 +454,43 @@ def _marginal_row(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
 def _walk(circuit: Circuit, plan: list[tuple], root, split):
     """Depth-first over measurement histories; yields (key, payload) per leaf.
 
-    A node is one state row plus the classical key and a mode payload.
-    Unitary steps run on the row; at a measure step `split(payload, mi, (p0,
-    p1))` returns the live children as (outcome, payload) pairs, outcome 0
-    first.  Every live child but the last gets a copy of the row; the last
-    collapses the node's own row in place.  Only rows of pending siblings on
-    the current path are held, never one row per shot.  A reduce step swaps
-    the row for its k-qubit marginal row (`_marginal_row`), so the trailing
-    measures split and copy 2^k-entry rows.
+    A node is one state row plus the classical key and a mode payload.  The
+    row starts as the single amplitude 1; a ("grow", k) step makes it 2^k
+    times longer, zero past the old row.  Unitary steps run on the row; at a
+    measure step `split(payload, mi, (p0, p1))` returns the live children as
+    (outcome, payload) pairs, outcome 0 first.  At an "m" step every live
+    child but the last gets a copy of the row, and the last collapses the
+    node's own row in place; at a "close" step each child gets its outcome's
+    half without the qubit.  Only rows of pending siblings on the current
+    path are held, never one row per shot.  A reduce step swaps the row for
+    its k-qubit marginal row (`_marginal_row`), so the trailing measures
+    split and copy 2^k-entry rows.
     """
     nc = circuit.num_clbits
-    stack = [(0, 0, StateVector.zero(circuit.num_qubits).amps, "0" * nc, root)]
+    stack = [(0, 0, np.ones(1, complex), "0" * nc, root)]
     while stack:
         start, mi, amps, key, payload = stack.pop()
         n = amps.size.bit_length() - 1
         for i in range(start, len(plan)):
             step = plan[i]
-            if step[0] == "reduce":
-                amps, n = _marginal_row(amps, n, step[1]), len(step[1])
-                continue
-            if step[0] != "m":
+            kind = step[0]
+            if kind in _KERNELS:
                 _exec_unitary(amps, n, step)
+                continue
+            if kind == "grow":
+                amps = np.concatenate((amps, np.zeros(amps.size * ((1 << step[1]) - 1), complex)))
+                n += step[1]
+                continue
+            if kind == "reduce":
+                amps, n = _marginal_row(amps, n, step[1]), len(step[1])
                 continue
             _, q, c = step
             p = _branch_probs(amps, n, q)
             children = split(payload, mi, p)
-            rows = [amps.copy() for _ in children[1:]] + [amps]
+            close = kind == "close"
+            rows = [amps if close else amps.copy() for _ in children[1:]] + [amps]
             for (outcome, sub), row in reversed(list(zip(children, rows))):
-                _collapse(row, n, q, outcome, p[outcome])
+                row = _collapse(row, n, q, outcome, p[outcome], close)
                 child_key = key[: nc - 1 - c] + str(outcome) + key[nc - c :]
                 stack.append((i + 1, mi + 1, row, child_key, sub))
             break
@@ -478,7 +516,7 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
 
     plan = _compile_plan(circuit)
-    n_meas = sum(1 for step in plan if step[0] == "m")
+    n_meas = sum(1 for step in plan if step[0] in ("m", "close"))
     counts: dict[str, int] = {}
 
     for start in range(0, shots, chunk_size):

@@ -400,9 +400,68 @@ class TestBranchWalk:
 
     def test_plan_defers_measure_and_drops_unseen_gate(self):
         c = self._dependency_circuit()
+        full = _compile_plan(c)
+        # Qubits enter the row in the order 0-3, so each slot is its qubit.
+        plan = [step for step in full if step[0] != "grow"]
+        expected = [_compile_op(4, op) for op in c.ops[:4] + c.ops[5:15]]
+        assert [step[0] for step in plan[:14]] == [step[0] for step in expected]
+        for got, want in zip(plan[4:14], expected[4:]):
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+        assert plan[14:] == full[-3:] == [("reduce", (0, 1)), ("m", 0, 0), ("m", 1, 1)]
+
+    def test_plan_closes_a_measured_qubit_nothing_reads_again(self):
+        # Qubit 0's first measure is read again by a cnot, so its slot stays;
+        # its second measure is its last op, so its slot closes and qubit 1
+        # moves down to slot 0.  Qubit 1's measure is read again and stays.
+        c = Circuit(3, 3)
+        c.add_gate("h", [0])
+        c.add_gate("measure", [0, 0])
+        c.add_gate("cnot", [0, 1])
+        c.add_gate("measure", [0, 1])
+        c.add_gate("measure", [1, 2])
+        c.add_gate("cnot", [1, 2])
+        c.add_gate("measure", [2, 2])
         plan = _compile_plan(c)
-        assert [step[0] for step in plan[:14]] == [_compile_op(4, op)[0] for op in c.ops[:4] + c.ops[5:15]]
-        assert plan[14:] == [("reduce", (0, 1)), ("m", 0, 0), ("m", 1, 1)]
+        assert [step[0] for step in plan] == [
+            "grow", "1q", "m", "grow", "perm", "close", "m", "grow", "perm", "reduce", "m",
+        ]
+        assert plan[0] == plan[3] == plan[7] == ("grow", 1)
+        assert plan[2] == ("m", 0, 0) and plan[5] == ("close", 0, 1) and plan[6] == ("m", 0, 2)
+        assert plan[4] == plan[8] == _compile_op(2, GateOp(GateKind.CNOT, (0, 1)))
+        assert plan[9:] == [("reduce", (1,)), ("m", 0, 2)]
+
+    @classmethod
+    def _idle_measure_circuits(cls, seed, count):
+        """Circuits that measure a qubit no gate ever touches mid-circuit,
+        then measure another such qubit (and, half the time, the first one
+        again) among the trailing measures."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n, nc = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+            a, b, *busy = (int(q) for q in rng.permutation(n))
+            circuit = Circuit(n, nc)
+            cls._add_random_gates(rng, circuit, busy, int(rng.integers(1, 6)))
+            circuit.add_gate("measure", [a, int(rng.integers(nc))])
+            circuit.add_gate("measure", [busy[0], int(rng.integers(nc))])
+            circuit.add_gate("ry", [busy[0]], [float(rng.uniform(0.3, 2.8))])
+            cls._add_random_gates(rng, circuit, busy, int(rng.integers(0, 6)))
+            remeasure = bool(rng.integers(2))
+            for q in (b, busy[0], a)[: 2 + remeasure]:
+                circuit.add_gate("measure", [q, int(rng.integers(nc))])
+            yield circuit, not remeasure
+
+    def test_untouched_qubit_measures_match_oracles(self):
+        for i, (circuit, closes) in enumerate(self._idle_measure_circuits(56, 15)):
+            kinds = [step[0] for step in _compile_plan(circuit)]
+            assert ("close" in kinds) == closes and kinds[kinds.index("reduce") - 1] == "grow"
+            for chunk in (1, 7, 4096):
+                expected = reference_run_shots(circuit, 100, seed=i, chunk_size=chunk)
+                assert run_shots(circuit, 100, seed=i, chunk_size=chunk).entries == expected.entries
+            expected = reference_exact_distribution(circuit).entries
+            got = exact_distribution(circuit).entries
+            assert set(got) == set(expected)
+            for key, p in expected.items():
+                assert abs(got[key] - p) <= 1e-12
 
     def test_gates_after_a_deferred_measure_run_once(self, monkeypatch):
         # In program order the ten gates would run on both branches of the
@@ -437,6 +496,25 @@ class TestBranchWalk:
                 tracemalloc.stop()
             assert len(result.entries) == 16
             assert peak < 3 * 2**20
+
+    def test_row_holds_only_live_qubits(self):
+        # All 20 qubits would be one 16 MiB row; the plan only ever holds
+        # the three that gates touch.
+        c = Circuit(20, 1)
+        c.add_gate("h", [4])
+        c.add_gate("cnot", [4, 11])
+        c.add_gate("ry", [17], [0.8])
+        c.add_gate("toffoli", [4, 17, 11])
+        c.add_gate("measure", [11, 0])
+        for run in (lambda: exact_distribution(c), lambda: run_shots(c, 1000, 1)):
+            tracemalloc.start()
+            try:
+                result = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert set(result.entries) == {"0", "1"}
+            assert peak < 2**20
 
     def test_sampling_memory_does_not_scale_with_shots(self):
         # One row per shot would be 2048 x 2^14 x 16 B = 512 MiB; the walk
