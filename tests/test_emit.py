@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gatekit.algos import build_bell, build_shor15
+from gatekit.dsl import parse
 from gatekit.emit import DIALECTS, print_circuit, translate
 from gatekit.ir import Circuit, GateKind
 
@@ -41,12 +42,18 @@ class TestTranslate:
     def test_bell_pyquil_matches_published_listing(self):
         assert translate(build_bell(), "pyquil").source == BELL_QUIL
 
-    @pytest.mark.parametrize("dialect", DIALECTS)
-    @pytest.mark.parametrize("name", ("bell", "shor15"))
-    def test_golden_files(self, dialect, name):
-        circuit = build_bell() if name == "bell" else build_shor15()
-        expected = (GOLDEN / f"{name}.{dialect}.txt").read_text()
-        assert translate(circuit, dialect).source == expected
+    @pytest.mark.parametrize("target", DIALECTS + ("print",))
+    @pytest.mark.parametrize("name", ("bell", "shor15", "allkinds", "unmeasured"))
+    def test_golden_files(self, target, name):
+        if name in ("bell", "shor15"):
+            circuit = build_bell() if name == "bell" else build_shor15()
+        else:
+            circuit = parse((GOLDEN / f"{name}.qc").read_text())
+        expected = (GOLDEN / f"{name}.{target}.txt").read_text()
+        if target == "print":
+            assert print_circuit(circuit) == expected
+        else:
+            assert translate(circuit, target).source == expected
 
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_empty_circuit_has_no_gate_lines(self, dialect):
