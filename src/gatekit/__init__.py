@@ -19,7 +19,6 @@ from .errors import (
     BranchCapError,
     CapacityError,
     DuplicateOperandError,
-    EmitError,
     GatekitError,
     NoMeasurementError,
     OperandRangeError,
@@ -53,7 +52,6 @@ __all__ = [
     "Counts",
     "DIALECTS",
     "DuplicateOperandError",
-    "EmitError",
     "EmittedProgram",
     "ExactDistribution",
     "FactorReport",

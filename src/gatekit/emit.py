@@ -6,10 +6,16 @@ the output is runnable by users who have the target framework installed, and
 byte-identical for equal (circuit, dialect) inputs.  Angles are printed as the
 shortest decimal that round-trips to the same double.
 
+How each gate kind is spelled in each dialect lives in data, not code: one
+line table per dialect (_LINES) holds a str.format pattern per GateKind, and
+_GLYPHS holds the diagram glyphs per GateKind.  Patterns read the op's fields
+(_fields): qubits {0} {1} {2}, angle {t}, angle/pi {t_pi} and clbit {c}.
+
 Per-dialect notes:
   * pyquil: bare Quil text ("DECLARE ro BIT[nc]" prologue when nc > 0).
   * qiskit: builds a QuantumCircuit; measure maps qubit -> clbit directly.
-  * cirq: LineQubits with one append per gate; each measure is keyed "c<clbit>".
+  * cirq: LineQubits with one append per gate; each measure is keyed "c<clbit>";
+    cphase is a CZPowGate whose exponent is the angle over pi.
   * pennylane: qnode over default.qubit; each measure op is recorded as a
     "# measure qubit q -> clbit c" comment and the function returns one
     computational-basis sample per measured wire (qml.state() if nothing is
@@ -38,199 +44,161 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _join(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n" if lines else ""
+def _fields(op: GateOp) -> dict[str, object]:
+    """Named format fields of one op; the qubits are passed positionally."""
+    if op.params:
+        theta = op.params[0]
+        return {"t": _fmt(theta), "t_pi": _fmt(theta / math.pi)}
+    return {"c": op.clbit}
 
 
 # ---------------------------------------------------------------------------
-# dialect renderers: one function per dialect, one output line per instruction
+# dialect tables: fixed head lines over {nq} and {nc}, then one line per op
 
-
-def _emit_pyquil(c: Circuit) -> str:
-    lines = []
-    if c.num_clbits > 0:
-        lines.append(f"DECLARE ro BIT[{c.num_clbits}]")
-    for op in c.ops:
-        k, q = op.kind, op.qubits
-        if k in (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z):
-            lines.append(f"{k.value.upper()} {q[0]}")
-        elif k in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            lines.append(f"{k.value.upper()}({_fmt(op.params[0])}) {q[0]}")
-        elif k is GateKind.CNOT:
-            lines.append(f"CNOT {q[0]} {q[1]}")
-        elif k is GateKind.TOFFOLI:
-            lines.append(f"CCNOT {q[0]} {q[1]} {q[2]}")
-        elif k is GateKind.SWAP:
-            lines.append(f"SWAP {q[0]} {q[1]}")
-        elif k is GateKind.CPHASE:
-            lines.append(f"CPHASE({_fmt(op.params[0])}) {q[0]} {q[1]}")
-        else:
-            lines.append(f"MEASURE {q[0]} ro[{op.clbit}]")
-    return _join(lines)
-
-
-def _emit_qiskit(c: Circuit) -> str:
-    lines = [
+_HEADS = {
+    "qiskit": (
         "from qiskit import QuantumCircuit",
         "",
-        f"qc = QuantumCircuit({c.num_qubits}, {c.num_clbits})",
-    ]
-    for op in c.ops:
-        k, q = op.kind, op.qubits
-        if k in (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z):
-            lines.append(f"qc.{k.value}({q[0]})")
-        elif k in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            lines.append(f"qc.{k.value}({_fmt(op.params[0])}, {q[0]})")
-        elif k is GateKind.CNOT:
-            lines.append(f"qc.cx({q[0]}, {q[1]})")
-        elif k is GateKind.TOFFOLI:
-            lines.append(f"qc.ccx({q[0]}, {q[1]}, {q[2]})")
-        elif k is GateKind.SWAP:
-            lines.append(f"qc.swap({q[0]}, {q[1]})")
-        elif k is GateKind.CPHASE:
-            lines.append(f"qc.cp({_fmt(op.params[0])}, {q[0]}, {q[1]})")
-        else:
-            lines.append(f"qc.measure({q[0]}, {op.clbit})")
-    return _join(lines)
-
-
-_CIRQ_SINGLE = {GateKind.H: "H", GateKind.X: "X", GateKind.Y: "Y", GateKind.Z: "Z"}
-
-
-def _emit_cirq(c: Circuit) -> str:
-    lines = [
+        "qc = QuantumCircuit({nq}, {nc})",
+    ),
+    "cirq": (
         "import cirq",
         "",
-        f"q = cirq.LineQubit.range({c.num_qubits})",
+        "q = cirq.LineQubit.range({nq})",
         "circuit = cirq.Circuit()",
-    ]
-    for op in c.ops:
-        k, q = op.kind, op.qubits
-        if k in _CIRQ_SINGLE:
-            lines.append(f"circuit.append(cirq.{_CIRQ_SINGLE[k]}(q[{q[0]}]))")
-        elif k in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            lines.append(f"circuit.append(cirq.{k.value}({_fmt(op.params[0])}).on(q[{q[0]}]))")
-        elif k is GateKind.CNOT:
-            lines.append(f"circuit.append(cirq.CNOT(q[{q[0]}], q[{q[1]}]))")
-        elif k is GateKind.TOFFOLI:
-            lines.append(f"circuit.append(cirq.TOFFOLI(q[{q[0]}], q[{q[1]}], q[{q[2]}]))")
-        elif k is GateKind.SWAP:
-            lines.append(f"circuit.append(cirq.SWAP(q[{q[0]}], q[{q[1]}]))")
-        elif k is GateKind.CPHASE:
-            exponent = _fmt(op.params[0] / math.pi)
-            lines.append(
-                f"circuit.append(cirq.CZPowGate(exponent={exponent}).on(q[{q[0]}], q[{q[1]}]))"
-            )
-        else:
-            lines.append(f'circuit.append(cirq.measure(q[{q[0]}], key="c{op.clbit}"))')
-    return _join(lines)
-
-
-_PENNYLANE_SINGLE = {
-    GateKind.H: "Hadamard",
-    GateKind.X: "PauliX",
-    GateKind.Y: "PauliY",
-    GateKind.Z: "PauliZ",
-}
-
-
-def _emit_pennylane(c: Circuit) -> str:
-    lines = [
+    ),
+    "pennylane": (
         "import pennylane as qml",
         "",
-        f'dev = qml.device("default.qubit", wires={c.num_qubits}, shots=1000)',
+        'dev = qml.device("default.qubit", wires={nq}, shots=1000)',
         "",
         "@qml.qnode(dev)",
         "def circuit():",
-    ]
-    sampled: list[int] = []
-    for op in c.ops:
-        k, q = op.kind, op.qubits
-        if k in _PENNYLANE_SINGLE:
-            lines.append(f"    qml.{_PENNYLANE_SINGLE[k]}(wires={q[0]})")
-        elif k in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            lines.append(f"    qml.{k.value.upper()}({_fmt(op.params[0])}, wires={q[0]})")
-        elif k is GateKind.CNOT:
-            lines.append(f"    qml.CNOT(wires=[{q[0]}, {q[1]}])")
-        elif k is GateKind.TOFFOLI:
-            lines.append(f"    qml.Toffoli(wires=[{q[0]}, {q[1]}, {q[2]}])")
-        elif k is GateKind.SWAP:
-            lines.append(f"    qml.SWAP(wires=[{q[0]}, {q[1]}])")
-        elif k is GateKind.CPHASE:
-            lines.append(
-                f"    qml.ControlledPhaseShift({_fmt(op.params[0])}, wires=[{q[0]}, {q[1]}])"
-            )
-        else:
-            lines.append(f"    # measure qubit {q[0]} -> clbit {op.clbit}")
-            sampled.append(q[0])
-    if sampled:
-        samples = ", ".join(f"qml.sample(qml.PauliZ({w}))" for w in sampled)
-        lines.append(f"    return [{samples}]")
-    else:
-        lines.append("    return qml.state()")
-    return _join(lines)
-
-
-def _emit_braket(c: Circuit) -> str:
-    lines = [
+    ),
+    "pyquil": (),
+    "braket": (
         "from braket.circuits import Circuit",
         "",
         "circuit = Circuit()",
-    ]
-    for op in c.ops:
-        k, q = op.kind, op.qubits
-        if k in (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z):
-            lines.append(f"circuit.{k.value}({q[0]})")
-        elif k in (GateKind.RX, GateKind.RY, GateKind.RZ):
-            lines.append(f"circuit.{k.value}({q[0]}, {_fmt(op.params[0])})")
-        elif k is GateKind.CNOT:
-            lines.append(f"circuit.cnot({q[0]}, {q[1]})")
-        elif k is GateKind.TOFFOLI:
-            lines.append(f"circuit.ccnot({q[0]}, {q[1]}, {q[2]})")
-        elif k is GateKind.SWAP:
-            lines.append(f"circuit.swap({q[0]}, {q[1]})")
-        elif k is GateKind.CPHASE:
-            lines.append(f"circuit.cphaseshift({q[0]}, {q[1]}, {_fmt(op.params[0])})")
-        else:
-            lines.append(f"circuit.measure({q[0]})  # clbit {op.clbit}")
-    return _join(lines)
+    ),
+}
 
-
-_EMITTERS = {
-    "pyquil": _emit_pyquil,
-    "qiskit": _emit_qiskit,
-    "cirq": _emit_cirq,
-    "pennylane": _emit_pennylane,
-    "braket": _emit_braket,
+_LINES = {
+    "qiskit": {
+        GateKind.H: "qc.h({0})",
+        GateKind.X: "qc.x({0})",
+        GateKind.Y: "qc.y({0})",
+        GateKind.Z: "qc.z({0})",
+        GateKind.RX: "qc.rx({t}, {0})",
+        GateKind.RY: "qc.ry({t}, {0})",
+        GateKind.RZ: "qc.rz({t}, {0})",
+        GateKind.CNOT: "qc.cx({0}, {1})",
+        GateKind.TOFFOLI: "qc.ccx({0}, {1}, {2})",
+        GateKind.SWAP: "qc.swap({0}, {1})",
+        GateKind.CPHASE: "qc.cp({t}, {0}, {1})",
+        GateKind.MEASURE: "qc.measure({0}, {c})",
+    },
+    "cirq": {
+        GateKind.H: "circuit.append(cirq.H(q[{0}]))",
+        GateKind.X: "circuit.append(cirq.X(q[{0}]))",
+        GateKind.Y: "circuit.append(cirq.Y(q[{0}]))",
+        GateKind.Z: "circuit.append(cirq.Z(q[{0}]))",
+        GateKind.RX: "circuit.append(cirq.rx({t}).on(q[{0}]))",
+        GateKind.RY: "circuit.append(cirq.ry({t}).on(q[{0}]))",
+        GateKind.RZ: "circuit.append(cirq.rz({t}).on(q[{0}]))",
+        GateKind.CNOT: "circuit.append(cirq.CNOT(q[{0}], q[{1}]))",
+        GateKind.TOFFOLI: "circuit.append(cirq.TOFFOLI(q[{0}], q[{1}], q[{2}]))",
+        GateKind.SWAP: "circuit.append(cirq.SWAP(q[{0}], q[{1}]))",
+        GateKind.CPHASE: "circuit.append(cirq.CZPowGate(exponent={t_pi}).on(q[{0}], q[{1}]))",
+        GateKind.MEASURE: 'circuit.append(cirq.measure(q[{0}], key="c{c}"))',
+    },
+    "pennylane": {
+        GateKind.H: "    qml.Hadamard(wires={0})",
+        GateKind.X: "    qml.PauliX(wires={0})",
+        GateKind.Y: "    qml.PauliY(wires={0})",
+        GateKind.Z: "    qml.PauliZ(wires={0})",
+        GateKind.RX: "    qml.RX({t}, wires={0})",
+        GateKind.RY: "    qml.RY({t}, wires={0})",
+        GateKind.RZ: "    qml.RZ({t}, wires={0})",
+        GateKind.CNOT: "    qml.CNOT(wires=[{0}, {1}])",
+        GateKind.TOFFOLI: "    qml.Toffoli(wires=[{0}, {1}, {2}])",
+        GateKind.SWAP: "    qml.SWAP(wires=[{0}, {1}])",
+        GateKind.CPHASE: "    qml.ControlledPhaseShift({t}, wires=[{0}, {1}])",
+        GateKind.MEASURE: "    # measure qubit {0} -> clbit {c}",
+    },
+    "pyquil": {
+        GateKind.H: "H {0}",
+        GateKind.X: "X {0}",
+        GateKind.Y: "Y {0}",
+        GateKind.Z: "Z {0}",
+        GateKind.RX: "RX({t}) {0}",
+        GateKind.RY: "RY({t}) {0}",
+        GateKind.RZ: "RZ({t}) {0}",
+        GateKind.CNOT: "CNOT {0} {1}",
+        GateKind.TOFFOLI: "CCNOT {0} {1} {2}",
+        GateKind.SWAP: "SWAP {0} {1}",
+        GateKind.CPHASE: "CPHASE({t}) {0} {1}",
+        GateKind.MEASURE: "MEASURE {0} ro[{c}]",
+    },
+    "braket": {
+        GateKind.H: "circuit.h({0})",
+        GateKind.X: "circuit.x({0})",
+        GateKind.Y: "circuit.y({0})",
+        GateKind.Z: "circuit.z({0})",
+        GateKind.RX: "circuit.rx({0}, {t})",
+        GateKind.RY: "circuit.ry({0}, {t})",
+        GateKind.RZ: "circuit.rz({0}, {t})",
+        GateKind.CNOT: "circuit.cnot({0}, {1})",
+        GateKind.TOFFOLI: "circuit.ccnot({0}, {1}, {2})",
+        GateKind.SWAP: "circuit.swap({0}, {1})",
+        GateKind.CPHASE: "circuit.cphaseshift({0}, {1}, {t})",
+        GateKind.MEASURE: "circuit.measure({0})  # clbit {c}",
+    },
 }
 
 
 def translate(circuit: Circuit, dialect: str) -> EmittedProgram:
     """Render the circuit as source text for one of the five dialects."""
-    if dialect not in _EMITTERS:
+    if dialect not in _LINES:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
-    return EmittedProgram(dialect, _EMITTERS[dialect](circuit))
+    nq, nc = circuit.num_qubits, circuit.num_clbits
+    lines = [head.format(nq=nq, nc=nc) for head in _HEADS[dialect]]
+    if dialect == "pyquil" and nc > 0:
+        lines.append(f"DECLARE ro BIT[{nc}]")
+    table = _LINES[dialect]
+    lines += [table[op.kind].format(*op.qubits, **_fields(op)) for op in circuit.ops]
+    if dialect == "pennylane":
+        sampled = [op.qubits[0] for op in circuit.ops if op.clbit is not None]
+        if sampled:
+            samples = ", ".join(f"qml.sample(qml.PauliZ({w}))" for w in sampled)
+            lines.append(f"    return [{samples}]")
+        else:
+            lines.append("    return qml.state()")
+    return EmittedProgram(dialect, "\n".join(lines) + "\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------
-# ASCII diagram
+# ASCII diagram: one glyph pattern per operand, in operand order
+
+_GLYPHS = {
+    GateKind.H: ("H",),
+    GateKind.X: ("X",),
+    GateKind.Y: ("Y",),
+    GateKind.Z: ("Z",),
+    GateKind.RX: ("RX({t})",),
+    GateKind.RY: ("RY({t})",),
+    GateKind.RZ: ("RZ({t})",),
+    GateKind.CNOT: ("*", "+"),
+    GateKind.TOFFOLI: ("*", "*", "+"),
+    GateKind.SWAP: ("x", "x"),
+    GateKind.CPHASE: ("*", "P({t})"),
+    GateKind.MEASURE: ("M{c}",),
+}
 
 
 def _glyphs(op: GateOp) -> dict[int, str]:
-    k, q = op.kind, op.qubits
-    if k is GateKind.MEASURE:
-        return {q[0]: f"M{op.clbit}"}
-    if k in (GateKind.RX, GateKind.RY, GateKind.RZ):
-        return {q[0]: f"{k.value.upper()}({_fmt(op.params[0])})"}
-    if k is GateKind.CNOT:
-        return {q[0]: "*", q[1]: "+"}
-    if k is GateKind.TOFFOLI:
-        return {q[0]: "*", q[1]: "*", q[2]: "+"}
-    if k is GateKind.SWAP:
-        return {q[0]: "x", q[1]: "x"}
-    if k is GateKind.CPHASE:
-        return {q[0]: "*", q[1]: f"P({_fmt(op.params[0])})"}
-    return {q[0]: k.value.upper()}
+    fields = _fields(op)
+    return {q: glyph.format(**fields) for q, glyph in zip(op.qubits, _GLYPHS[op.kind])}
 
 
 def print_circuit(circuit: Circuit) -> str:

@@ -45,10 +45,6 @@ class BranchCapError(SimError):
     """Exact enumeration requested beyond the measurement branch cap."""
 
 
-class EmitError(GatekitError):
-    """A dialect cannot render a construct declared unsupported in its mapping table."""
-
-
 class ParseError(GatekitError):
     """Circuit file rejected; carries the 1-based line number of the offence."""
 

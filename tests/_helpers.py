@@ -1,17 +1,22 @@
-"""Shared test utilities: random circuit generation, an independent
-dense-matrix oracle for cross-checking the simulator kernels, numpy's own
-per-shot stream as the oracle for the vectorised draws, and the per-shot
-replay and recursive enumeration that the branch walk replaced, kept as
-oracles for it."""
+"""Shared test utilities: random circuit generation (seeded and as a
+Hypothesis strategy), a reader that parses emitted source back into ops, an
+independent dense-matrix oracle for cross-checking the simulator kernels,
+numpy's own per-shot stream as the oracle for the vectorised draws, and the
+per-shot replay and recursive enumeration that the branch walk replaced, kept
+as oracles for it."""
 from __future__ import annotations
 
 import math
+import re
+import string
 
 import numpy as np
+from hypothesis import strategies as st
 
+from gatekit.emit import _LINES
 from gatekit.errors import SimError
 from gatekit.gates import unitary_of
-from gatekit.ir import Circuit, GateKind
+from gatekit.ir import Circuit, GateKind, GateOp
 from gatekit.sim import (
     MIN_BRANCH_PROB,
     Counts,
@@ -64,6 +69,93 @@ def random_circuit(
         params = [float(a) for a in rng.uniform(-2 * math.pi, 2 * math.pi, size=kind.param_count)]
         circuit.add_gate(kind.value, qubits, params)
     return circuit
+
+
+def _circuits():
+    """Hypothesis strategy: circuits of 1-6 qubits, 0-4 clbits and up to 12 ops."""
+    gate_kinds = st.sampled_from(
+        [k for k in GateKind if k is not GateKind.MEASURE] + [GateKind.MEASURE] * 3
+    )
+    angles = st.floats(
+        allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6
+    )
+
+    @st.composite
+    def build(draw):
+        nq = draw(st.integers(1, 6))
+        nc = draw(st.integers(0, 4))
+        circuit = Circuit(nq, nc)
+        for _ in range(draw(st.integers(0, 12))):
+            kind = draw(gate_kinds)
+            if kind is GateKind.MEASURE:
+                if nc == 0:
+                    continue
+                circuit.add_gate("measure", [draw(st.integers(0, nq - 1)), draw(st.integers(0, nc - 1))])
+                continue
+            if kind.qubit_arity > nq:
+                continue
+            qubits = draw(
+                st.lists(st.integers(0, nq - 1), min_size=kind.qubit_arity,
+                         max_size=kind.qubit_arity, unique=True)
+            )
+            params = [draw(angles)] * kind.param_count
+            circuit.add_gate(kind.value, qubits, params)
+        return circuit
+
+    return build()
+
+
+# one regex group per format field of an emitter line pattern
+_FIELD_RE = {
+    "0": r"(?P<q0>\d+)",
+    "1": r"(?P<q1>\d+)",
+    "2": r"(?P<q2>\d+)",
+    "t": r"(?P<t>[-+.\de]+)",
+    "t_pi": r"(?P<t_pi>[-+.\de]+)",
+    "c": r"(?P<c>\d+)",
+}
+
+
+def _line_regex(pattern: str) -> re.Pattern:
+    parts = []
+    for literal, field, _, _ in string.Formatter().parse(pattern):
+        parts.append(re.escape(literal))
+        if field is not None:
+            parts.append(_FIELD_RE[field])
+    return re.compile("".join(parts))
+
+
+_LINE_READERS = {
+    dialect: [(kind, _line_regex(pattern)) for kind, pattern in table.items()]
+    for dialect, table in _LINES.items()
+}
+
+
+def read_ops(source: str, dialect: str) -> list[GateOp]:
+    """Read the ops back out of translate(c, dialect).source.
+
+    Each line that matches one of the dialect's line patterns becomes one op;
+    head and tail lines match none and are skipped.  cirq's cphase exponent
+    is read as theta/pi and multiplied back by pi.
+    """
+    ops = []
+    for line in source.splitlines():
+        matches = [(k, m) for k, rx in _LINE_READERS[dialect] if (m := rx.fullmatch(line))]
+        if not matches:
+            continue
+        assert len(matches) == 1, f"{dialect} line {line!r} matches several kinds"
+        kind, m = matches[0]
+        fields = m.groupdict()
+        qubits = tuple(int(fields[f"q{i}"]) for i in range(kind.qubit_arity))
+        if "t" in fields:
+            params = (float(fields["t"]),)
+        elif "t_pi" in fields:
+            params = (float(fields["t_pi"]) * math.pi,)
+        else:
+            params = ()
+        clbit = int(fields["c"]) if "c" in fields else None
+        ops.append(GateOp(kind, qubits, params, clbit))
+    return ops
 
 
 def dense_gate_matrix(n: int, qubits: tuple[int, ...], u: np.ndarray) -> np.ndarray:

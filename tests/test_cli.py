@@ -1,10 +1,14 @@
 """CLI: subcommands, exit codes, output formats."""
+import contextlib
 import gc
 import io
 import json
+import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatekit.cli import main
 from gatekit.dsl import parse
@@ -221,3 +225,46 @@ class TestFactor15:
         first = capsys.readouterr().out
         main(["factor15", "--shots", "500", "--seed", "6"])
         assert capsys.readouterr().out == first
+
+
+# Subcommands, flags and values of the real CLI, plus a few it rejects;
+# shot counts stay small so each call is quick.
+_SUBCOMMANDS = ["translate", "print", "simulate", "demo", "factor15", "nosuch", "-h", ""]
+_ARGV_TOKENS = [
+    "--to", "qiskit", "cirq", "pennylane", "pyquil", "braket", "qasm",
+    "--shots", "--seed", "--random", "--format", "counts", "json", "hist", "--help",
+    "0", "1", "3", "-1", "x", "99999999999999999999", "bell", "shor15", "grover", "-",
+]
+_STDIN_DOCS = [BELL_DOC, "", "qubits 1\nclbits 0\nh 0\n", "qubits 2\nclbits 2\nwibble 0\n"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {
+        "bell.qc": BELL_DOC.encode(),
+        "bad.qc": b"qubits 2\nclbits 2\nwibble 0\n",
+        "nomeasure.qc": b"qubits 1\nclbits 0\nh 0\n",
+        "latin1.qc": LATIN1_DOC,
+    }
+    for name, data in docs.items():
+        (root / name).write_bytes(data)
+    return [str(root / name) for name in docs] + [str(root / "missing.qc"), str(root)]
+
+
+class TestRobustness:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_argv_exits_with_a_documented_code(self, fuzz_paths, data):
+        argv = [data.draw(st.sampled_from(_SUBCOMMANDS))]
+        argv += data.draw(st.lists(st.sampled_from(_ARGV_TOKENS + fuzz_paths), max_size=6))
+        stdin = data.draw(st.sampled_from(_STDIN_DOCS) | st.text(max_size=40))
+        out, err = io.StringIO(), io.StringIO()
+        saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = saved_stdin
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv

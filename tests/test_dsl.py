@@ -11,7 +11,7 @@ from gatekit.dsl import PI_TOKENS, parse, serialize
 from gatekit.errors import ParseError
 from gatekit.ir import Circuit, GateKind, GateOp
 
-from _helpers import random_circuit
+from _helpers import _circuits, random_circuit
 
 BELL_DOC = "qubits 2\nclbits 2\nh 0\ncnot 0 1\nmeasure 0 -> 0\nmeasure 1 -> 1\n"
 
@@ -111,39 +111,6 @@ class TestSerialize:
         assert "toffoli 0 1 2" in serialize(c)
 
 
-def _circuits():
-    gate_kinds = st.sampled_from(
-        [k for k in GateKind if k is not GateKind.MEASURE] + [GateKind.MEASURE] * 3
-    )
-    angles = st.floats(
-        allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6
-    )
-
-    @st.composite
-    def build(draw):
-        nq = draw(st.integers(1, 6))
-        nc = draw(st.integers(0, 4))
-        circuit = Circuit(nq, nc)
-        for _ in range(draw(st.integers(0, 12))):
-            kind = draw(gate_kinds)
-            if kind is GateKind.MEASURE:
-                if nc == 0:
-                    continue
-                circuit.add_gate("measure", [draw(st.integers(0, nq - 1)), draw(st.integers(0, nc - 1))])
-                continue
-            if kind.qubit_arity > nq:
-                continue
-            qubits = draw(
-                st.lists(st.integers(0, nq - 1), min_size=kind.qubit_arity,
-                         max_size=kind.qubit_arity, unique=True)
-            )
-            params = [draw(angles)] * kind.param_count
-            circuit.add_gate(kind.value, qubits, params)
-        return circuit
-
-    return build()
-
-
 class TestRoundTrip:
     @given(_circuits())
     @settings(max_examples=200, deadline=None)
@@ -161,3 +128,29 @@ class TestRoundTrip:
         for _ in range(200):
             circuit = random_circuit(rng, int(rng.integers(1, 7)), int(rng.integers(0, 30)), 4, 0.25)
             assert parse(serialize(circuit)) == circuit
+
+
+# Tokens that reach every branch of the grammar, valid or not.
+_DOC_TOKENS = [
+    "qubits", "clbits", "QUBITS", "h", "X", "rx", "cnot", "cx", "ccnot", "toffoli", "swap",
+    "cphase", "cp", "measure", "wibble", "0", "1", "2", "3", "-1", "24", "25", "1.5",
+    "99999999999999999999", "->", "-", ">", "(", ")", "(pi/2)", "(-pi)", "(0.25)", "(1e400)",
+    "(nan)", "(pi/3)", "()", "((1))", "#", "\t", "\r", "é", "\x00", ",",
+]
+
+
+def _documents():
+    line = st.lists(st.sampled_from(_DOC_TOKENS), max_size=6).map(" ".join)
+    header = st.sampled_from(["", "qubits 3\nclbits 2\n", "qubits 0\nclbits 0\n", "qubits 25\nclbits 1\n"])
+    structured = st.tuples(header, st.lists(line, max_size=8).map("\n".join)).map("".join)
+    return st.one_of(st.text(), structured)
+
+
+class TestParseRobustness:
+    @given(_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_text_raises_only_parse_error(self, text):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gatekit.algos import build_bell, build_shor15
 from gatekit.dsl import parse
-from gatekit.emit import DIALECTS, print_circuit, translate
+from gatekit.emit import _GLYPHS, _HEADS, _LINES, DIALECTS, print_circuit, translate
 from gatekit.ir import Circuit, GateKind
 
-from _helpers import random_circuit
+from _helpers import _circuits, random_circuit, read_ops
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,6 +127,29 @@ class TestTranslate:
     def test_unknown_dialect_rejected(self):
         with pytest.raises(ValueError):
             translate(build_bell(), "qasm")
+
+    def test_tables_cover_exactly_every_kind(self):
+        assert set(_LINES) == set(_HEADS) == set(DIALECTS)
+        for dialect in DIALECTS:
+            assert set(_LINES[dialect]) == set(GateKind), dialect
+        assert set(_GLYPHS) == set(GateKind)
+        for kind, glyphs in _GLYPHS.items():
+            assert len(glyphs) == kind.qubit_arity, kind
+
+    @pytest.mark.parametrize("dialect", DIALECTS)
+    @given(circuit=_circuits())
+    @settings(max_examples=100, deadline=None)
+    def test_source_reads_back_to_the_same_ops(self, dialect, circuit):
+        ops = read_ops(translate(circuit, dialect).source, dialect)
+        assert [(op.kind, op.qubits, op.clbit) for op in ops] == [
+            (op.kind, op.qubits, op.clbit) for op in circuit.ops
+        ]
+        for got, want in zip(ops, circuit.ops):
+            # cirq prints theta/pi, which is exact to the last bit or two for
+            # normal doubles; abs_tol covers theta/pi underflowing into the
+            # subnormal range for |theta| below about 1e-307.
+            for a, b in zip(got.params, want.params):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300), (a, b)
 
 
 class TestPrintCircuit:
