@@ -25,10 +25,10 @@ dependency order: it skips gates outside the light cone of the measured
 qubits and runs each unitary before every measure it does not depend on,
 keeping every measure's draw and order.  The row holds only the live
 qubits: a qubit enters at its first kept op and leaves at a measure that
-nothing later reads.  The trailing measures (after the last unitary) first
-reduce the row to the marginal table of their k qubits, once per history,
-and then split rows of 2^k entries.  Each can move a p1 by a few ulps
-against a per-measure collapse of the full row in program order.
+nothing later reads.  The trailing measures (after the last unitary) run
+on the probability table of their k qubits, once per history, for all of
+its rows at once (`_finish`).  Each can move a p1 by a few ulps against a
+per-measure collapse of the full row in program order.
 """
 from __future__ import annotations
 
@@ -45,7 +45,8 @@ from .ir import Circuit, GateKind, GateOp
 # numerically corrupt; renormalizing would amplify garbage.
 MIN_BRANCH_PROB = 1e-15
 
-# exact_distribution enumerates at most 2^30 outcome paths.
+# exact_distribution follows at most 2^30 paths: it refuses more binary splits
+# on one path (mid-circuit measures plus distinct trailing qubits) than this.
 MEASURE_BRANCH_CAP = 30
 
 
@@ -439,32 +440,64 @@ def _compile_plan(circuit: Circuit) -> list[tuple]:
     return plan + [("m", qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
 
 
-def _marginal_row(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
-    """sqrt of the joint distribution of `qubits`, as a real k-qubit row whose
-    qubit j is qubits[j]: |amps|^2 once, then every other qubit summed out,
-    highest first, as one add of its two halves."""
+def _marginal_table(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
+    """The joint distribution of `qubits` as a real k-qubit table whose qubit
+    j is qubits[j]: |amps|^2 once, then every other qubit summed out, highest
+    first, as one add of its two halves."""
     t = (np.abs(amps) ** 2).reshape((2,) * n)
     for q in sorted(set(range(n)) - set(qubits), reverse=True):
         ix = (slice(None),) * sum(m > q for m in qubits)
         t = t[ix + (0,)] + t[ix + (1,)]
     axes = sorted(qubits, reverse=True)
-    return np.sqrt(t.transpose([axes.index(q) for q in reversed(qubits)]).reshape(-1))
+    return t.transpose([axes.index(q) for q in reversed(qubits)]).reshape(-1)
+
+
+def _finish(table: np.ndarray, steps: list[tuple], mi: int, key: str, payload, split):
+    """Run the trailing measures `steps` on a k-qubit probability table for
+    all rows of `payload` at once; return (keys, inverse, payload): one key
+    per distinct outcome and, per row, the index of its key.
+
+    A row's code holds the outcomes of the table qubits fixed so far, which
+    are 0..j-1 when qubit j is first measured.  At that measure (m0, m1) is
+    the table summed over the qubits above j, read at the code with bit j
+    clear and set, and `split` gets p = (m0, m1) / (m0 + m1).  A repeated
+    qubit keeps its outcome and draws nothing; its draw column `mi` advances.
+    """
+    codes, last, fixed, bit = np.zeros(len(payload), np.int64), {}, 0, np.array([[0], [1]])
+    for mi, (_, j, c) in enumerate(steps, mi):
+        if j == fixed:
+            m = table.reshape(-1, 2 << j).sum(0)[codes | bit << j]
+            parent, outcome, payload = split(payload, mi, m / (m[0] + m[1]))
+            codes = codes[parent] | outcome << j
+            fixed += 1
+        last[c] = j
+    # Each clbit ends as the bit of the table qubit last measured into it.
+    codes, inverse = np.unique(codes, return_inverse=True)
+    keys = []
+    for code in codes.tolist():
+        chars = list(key)
+        for c, j in last.items():
+            chars[-1 - c] = "01"[code >> j & 1]
+        keys.append("".join(chars))
+    return keys, inverse, payload
 
 
 def _walk(circuit: Circuit, plan: list[tuple], root, split):
-    """Depth-first over measurement histories; yields (key, payload) per leaf.
+    """Depth-first over measurement histories; yields `_finish`'s (keys,
+    inverse, payload) per history that reaches the trailing table.
 
-    A node is one state row plus the classical key and a mode payload.  The
-    row starts as the single amplitude 1; a ("grow", k) step makes it 2^k
-    times longer, zero past the old row.  Unitary steps run on the row; at a
-    measure step `split(payload, mi, (p0, p1))` returns the live children as
-    (outcome, payload) pairs, outcome 0 first.  At an "m" step every live
-    child but the last gets a copy of the row, and the last collapses the
-    node's own row in place; at a "close" step each child gets its outcome's
-    half without the qubit.  Only rows of pending siblings on the current
-    path are held, never one row per shot.  A reduce step swaps the row for
-    its k-qubit marginal row (`_marginal_row`), so the trailing measures
-    split and copy 2^k-entry rows.
+    A node is one state row plus the classical key and a mode payload of
+    rows: shots when sampling, one weight in exact mode.  `split(payload, mi,
+    p)` takes (p0, p1) per row as a (2, rows) array, or (2, 1) for all rows
+    alike, and returns (parent, outcome, payload) for the rows that go on.
+    The state row starts as the single amplitude 1; a ("grow", k) step makes
+    it 2^k times longer, zero past the old row.  Unitary steps run on the
+    row.  At a mid-circuit measure the node's rows of each outcome form a
+    child, outcome 0 first: at an "m" step every child but the last gets a
+    copy of the row and the last collapses it in place; at a "close" step
+    each child gets its outcome's half without the qubit.  Only rows of
+    pending siblings on the current path are held, never one per shot.  The
+    reduce step hands the probability table (`_marginal_table`) to `_finish`.
     """
     nc = circuit.num_clbits
     stack = [(0, 0, np.ones(1, complex), "0" * nc, root)]
@@ -482,11 +515,12 @@ def _walk(circuit: Circuit, plan: list[tuple], root, split):
                 n += step[1]
                 continue
             if kind == "reduce":
-                amps, n = _marginal_row(amps, n, step[1]), len(step[1])
-                continue
+                yield _finish(_marginal_table(amps, n, step[1]), plan[i + 1 :], mi, key, payload, split)
+                break
             _, q, c = step
             p = _branch_probs(amps, n, q)
-            children = split(payload, mi, p)
+            _, outcomes, payload = split(payload, mi, np.array(p)[:, None])
+            children = [(b, sub) for b in (0, 1) if len(sub := payload[outcomes == b])]
             close = kind == "close"
             rows = [amps if close else amps.copy() for _ in children[1:]] + [amps]
             for (outcome, sub), row in reversed(list(zip(children, rows))):
@@ -494,8 +528,6 @@ def _walk(circuit: Circuit, plan: list[tuple], root, split):
                 child_key = key[: nc - 1 - c] + str(outcome) + key[nc - c :]
                 stack.append((i + 1, mi + 1, row, child_key, sub))
             break
-        else:
-            yield key, payload
 
 
 def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
@@ -525,10 +557,14 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
 
         def split(idx, mi, p):
             one = draws[idx, mi] < p[1]
-            return [(b, group) for b, group in ((0, idx[~one]), (1, idx[one])) if len(group)]
+            # Written so that a NaN probability raises as well.
+            if not np.where(one, p[1], p[0]).min() >= MIN_BRANCH_PROB:
+                raise SimError("measurement branch probability is numerically zero")
+            return np.arange(len(idx)), one, idx
 
-        for key, idx in _walk(circuit, plan, np.arange(size), split):
-            counts[key] = counts.get(key, 0) + len(idx)
+        for keys, inverse, _ in _walk(circuit, plan, np.arange(size), split):
+            for key, count in zip(keys, np.bincount(inverse).tolist()):
+                counts[key] = counts.get(key, 0) + count
 
     return Counts(counts, shots)
 
@@ -542,14 +578,18 @@ def exact_distribution(circuit: Circuit) -> ExactDistribution:
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
-    n_meas = sum(1 for op in circuit.ops if op.kind is GateKind.MEASURE)
-    if n_meas > MEASURE_BRANCH_CAP:
-        raise BranchCapError(f"{n_meas} measure ops exceeds the {MEASURE_BRANCH_CAP}-branch cap")
+    plan = _compile_plan(circuit)
+    r = [step[0] for step in plan].index("reduce")
+    splits = sum(step[0] in ("m", "close") for step in plan[:r]) + len(plan[r][1])
+    if splits > MEASURE_BRANCH_CAP:
+        raise BranchCapError(f"{splits} branch points on one path exceed the {MEASURE_BRANCH_CAP}-branch cap")
 
     def split(weight, mi, p):
-        return [(b, weight * p[b]) for b in (0, 1) if p[b] > MIN_BRANCH_PROB]
+        parent, outcome = np.nonzero(p.T > MIN_BRANCH_PROB)
+        return parent, outcome, weight[parent] * p[outcome, parent]
 
     probs: dict[str, float] = {}
-    for key, weight in _walk(circuit, _compile_plan(circuit), 1.0, split):
-        probs[key] = probs.get(key, 0.0) + weight
+    for keys, inverse, weight in _walk(circuit, plan, np.ones(1), split):
+        for key, p in zip(keys, np.bincount(inverse, weight).tolist()):
+            probs[key] = probs.get(key, 0.0) + p
     return ExactDistribution(probs)

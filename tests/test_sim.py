@@ -188,6 +188,20 @@ class TestRunShots:
         with pytest.raises(ValidationError):
             run_shots(build_bell(), 0, 0)
 
+    @pytest.mark.parametrize("mid_circuit", [False, True])
+    def test_numerically_zero_branch_raises(self, monkeypatch, mid_circuit):
+        # Every draw is 0, so each shot takes outcome 1 of ry(1e-9), whose
+        # probability sin^2(5e-10) is below MIN_BRANCH_PROB.
+        monkeypatch.setattr(sim, "_draws", lambda seed, start, size, n_meas: np.zeros((size, n_meas)))
+        c = Circuit(1, 1)
+        c.add_gate("ry", [0], [1e-9])
+        c.add_gate("measure", [0, 0])
+        if mid_circuit:
+            c.add_gate("h", [0])
+            c.add_gate("measure", [0, 0])
+        with pytest.raises(SimError):
+            run_shots(c, 10, 0)
+
     def test_numpy_integer_seed(self):
         from gatekit.algos import build_bell
 
@@ -292,6 +306,17 @@ class TestBranchWalk:
                 assert abs(got[key] - p) <= 1e-12
 
     @staticmethod
+    def _assert_matches_oracles(circuit, seed, chunks):
+        for chunk in chunks:
+            expected = reference_run_shots(circuit, 100, seed=seed, chunk_size=chunk)
+            assert run_shots(circuit, 100, seed=seed, chunk_size=chunk).entries == expected.entries
+        expected = reference_exact_distribution(circuit).entries
+        got = exact_distribution(circuit).entries
+        assert set(got) == set(expected)
+        for key, p in expected.items():
+            assert abs(got[key] - p) <= 1e-12
+
+    @staticmethod
     def _terminal_circuits(seed, count, mid_measure):
         """Circuits whose measures all follow the last unitary, each block
         with a repeated qubit and a clbit overwrite; with `mid_measure`, a
@@ -313,14 +338,7 @@ class TestBranchWalk:
     @pytest.mark.parametrize("mid_measure", [False, True])
     def test_terminal_block_matches_oracles(self, mid_measure):
         for i, circuit in enumerate(self._terminal_circuits(53 + mid_measure, 15, mid_measure)):
-            for chunk in (1, 7, 4096):
-                expected = reference_run_shots(circuit, 100, seed=i, chunk_size=chunk)
-                assert run_shots(circuit, 100, seed=i, chunk_size=chunk).entries == expected.entries
-            expected = reference_exact_distribution(circuit).entries
-            got = exact_distribution(circuit).entries
-            assert set(got) == set(expected)
-            for key, p in expected.items():
-                assert abs(got[key] - p) <= 1e-12
+            self._assert_matches_oracles(circuit, i, (1, 7, 4096))
 
     @staticmethod
     def _add_random_gates(rng, circuit, qubits, count):
@@ -354,14 +372,7 @@ class TestBranchWalk:
 
     def test_deferred_plan_matches_oracles(self):
         for i, circuit in enumerate(self._deferred_circuits(55, 20)):
-            for chunk in (1, 7, 4096):
-                expected = reference_run_shots(circuit, 100, seed=i, chunk_size=chunk)
-                assert run_shots(circuit, 100, seed=i, chunk_size=chunk).entries == expected.entries
-            expected = reference_exact_distribution(circuit).entries
-            got = exact_distribution(circuit).entries
-            assert set(got) == set(expected)
-            for key, p in expected.items():
-                assert abs(got[key] - p) <= 1e-12
+            self._assert_matches_oracles(circuit, i, (1, 7, 4096))
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -454,14 +465,7 @@ class TestBranchWalk:
         for i, (circuit, closes) in enumerate(self._idle_measure_circuits(56, 15)):
             kinds = [step[0] for step in _compile_plan(circuit)]
             assert ("close" in kinds) == closes and kinds[kinds.index("reduce") - 1] == "grow"
-            for chunk in (1, 7, 4096):
-                expected = reference_run_shots(circuit, 100, seed=i, chunk_size=chunk)
-                assert run_shots(circuit, 100, seed=i, chunk_size=chunk).entries == expected.entries
-            expected = reference_exact_distribution(circuit).entries
-            got = exact_distribution(circuit).entries
-            assert set(got) == set(expected)
-            for key, p in expected.items():
-                assert abs(got[key] - p) <= 1e-12
+            self._assert_matches_oracles(circuit, i, (1, 7, 4096))
 
     def test_gates_after_a_deferred_measure_run_once(self, monkeypatch):
         # In program order the ten gates would run on both branches of the
@@ -476,6 +480,64 @@ class TestBranchWalk:
         monkeypatch.setattr(sim, "_exec_unitary", counting)
         exact_distribution(self._dependency_circuit())
         assert len(calls) == 14
+
+    @classmethod
+    def _trailing_block_circuit(cls, rng):
+        """A circuit ending in 9-14 trailing measures of k <= 8 distinct
+        qubits in random order, so qubits repeat and clbits are overwritten
+        by later and by earlier table qubits.  Two of the qubits have p1
+        exactly 0 (no gate) and 1 (one x); half the time a measure and a
+        further unitary come first."""
+        n, nc = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        zero, one, *busy = (int(q) for q in rng.permutation(n))
+        circuit = Circuit(n, nc)
+        circuit.add_gate("x", [one])
+        if busy:
+            cls._add_random_gates(rng, circuit, busy, int(rng.integers(1, 16)))
+            if rng.integers(2):
+                circuit.add_gate("measure", [busy[0], int(rng.integers(nc))])
+                circuit.add_gate("ry", [busy[0]], [float(rng.uniform(0.3, 2.8))])
+        table = [zero, one, *busy[: int(rng.integers(0, 7))]]
+        block = table + [int(q) for q in rng.choice(table, size=int(rng.integers(9, 15)) - len(table))]
+        for q in rng.permutation(block):
+            circuit.add_gate("measure", [int(q), int(rng.integers(nc))])
+        return circuit
+
+    def test_trailing_block_matches_oracles(self):
+        rng = np.random.default_rng(57)
+        for i in range(20):
+            self._assert_matches_oracles(self._trailing_block_circuit(rng), i, (1, 7, 4096))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_trailing_block_matches_oracles_property(self, seed):
+        circuit = self._trailing_block_circuit(np.random.default_rng(seed))
+        self._assert_matches_oracles(circuit, seed, (4096,))
+
+    def test_trailing_measures_split_no_state_row(self, monkeypatch):
+        # shor15 measures all eight qubits after its last gate; the n=16
+        # circuit measures twelve of its qubits after its last gate.
+        from gatekit.algos import build_shor15
+
+        calls = []
+        for name in ("_branch_probs", "_collapse"):
+            def counting(*args, fn=getattr(sim, name)):
+                calls.append(fn)
+                return fn(*args)
+
+            monkeypatch.setattr(sim, name, counting)
+        wide = Circuit(16, 12)
+        for q in range(16):
+            wide.add_gate("h", [q])
+        for q in range(15):
+            wide.add_gate("cnot", [q, q + 1])
+            wide.add_gate("ry", [q + 1], [0.3 + 0.1 * q])
+        for c in range(12):
+            wide.add_gate("measure", [c + 2, c])
+        for circuit in (build_shor15(), wide):
+            assert sum(run_shots(circuit, 1000, 1).entries.values()) == 1000
+            assert abs(sum(exact_distribution(circuit).entries.values()) - 1.0) <= 1e-9
+        assert calls == []
 
     def test_terminal_measures_hold_small_rows(self):
         # The state row is 1 MiB. Splitting full rows at the four trailing
@@ -538,6 +600,16 @@ class TestBranchWalk:
         assert peak < 32 * 2**20
 
 
+def test_readme_library_tour():
+    c = Circuit(2, 2)
+    c.add_gate("h", [0])
+    c.add_gate("cnot", [0, 1])
+    c.add_gate("measure", [0, 0])
+    c.add_gate("measure", [1, 1])
+    assert run_shots(c, 1000, seed=7).entries == {"00": 539, "11": 461}
+    assert exact_distribution(c).entries == {"00": 0.5, "11": 0.5}
+
+
 class TestExactDistribution:
     def test_bell(self):
         from gatekit.algos import build_bell
@@ -577,12 +649,36 @@ class TestExactDistribution:
             exact_distribution(c)
 
     def test_branch_cap(self):
+        # A repeated trailing measure keeps its outcome: the 31 measures of
+        # one qubit make a single binary split.
         c = Circuit(1, 1)
         c.add_gate("h", [0])
         for _ in range(31):
             c.add_gate("measure", [0, 0])
-        with pytest.raises(BranchCapError):
-            exact_distribution(c)
+        assert exact_distribution(c).entries == {"0": 0.5, "1": 0.5}
+
+    def test_branch_cap_counts_splits_on_one_path(self, monkeypatch):
+        # 30 splits (29 mid-circuit measures and one trailing qubit) are
+        # allowed; 31 are refused before any walk starts.
+        walk, walks = sim._walk, []
+
+        def counting_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(sim, "_walk", counting_walk)
+        for gate, pairs, refused in (("x", 30, False), ("h", 31, True)):
+            c = Circuit(1, 1)
+            for _ in range(pairs):
+                c.add_gate(gate, [0])
+                c.add_gate("measure", [0, 0])
+            walks.clear()
+            if refused:
+                with pytest.raises(BranchCapError):
+                    exact_distribution(c)
+                assert walks == []
+            else:
+                assert exact_distribution(c).entries == {"0": 1.0}
 
     def test_rz_before_measure_changes_nothing(self):
         rng = np.random.default_rng(43)
