@@ -10,11 +10,14 @@ Conventions:
     default_rng(SeedSequence(entropy=zigzag(seed), spawn_key=(s,))).random(),
     computed for all shots of a chunk at once by `_draws`.
 
-Gates act via strided in-place updates on views of one state row; the full
-2^n x 2^n matrix of a gate is never materialized.  The compiled plan gives
-each step its cheapest exact kernel: a diagonal 1q gate (z, rz) scales the
-two halves of its qubit, an anti-diagonal one (x, y) swaps them, and any
-other runs the general 2x2 update, with results equal under np.array_equal.
+Every gate is a two-level unitary: one 2x2 block on a pair of subspaces of
+the state row, for cnot, toffoli and cphase the target's two halves with
+every control at 1, for swap |01> and |10>.  Gates and measures address the
+row in place through one reshaped view (`_view`); the full 2^n x 2^n matrix
+is never materialized.  Each step runs the cheapest exact kernel for its
+block: a diagonal one (z, rz, cphase) scales the pair, an anti-diagonal one
+(x, y, cnot, toffoli, swap) exchanges it, and any other runs the general
+2x2 update, with results equal under np.array_equal.
 
 run_shots and exact_distribution share one depth-first walk over measurement
 histories (`_walk`).  A node holds one state row; at a measure it splits
@@ -32,6 +35,7 @@ per-measure collapse of the full row in program order.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -123,63 +127,54 @@ class ExactDistribution:
 # kernels over one state row (2^n amplitudes), all updating in place
 
 
-def _sel(n: int, bits: dict[int, int]) -> tuple:
-    """Index tuple picking the subspace where each given qubit has a fixed bit.
-
-    Qubit q sits at tensor axis n-1-q because the amplitude index has qubit 0
-    as its least-significant bit.
-    """
-    sel = [slice(None)] * n
-    for q, bit in bits.items():
-        sel[n - 1 - q] = bit
-    return tuple(sel)
-
-
-def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> None:
-    """Any 2x2 unitary as a strided update over the qubit's amplitude pairs."""
-    t = amps.reshape((2,) * n)
-    s0, s1 = _sel(n, {q: 0}), _sel(n, {q: 1})
-    low = t[s0].copy()
-    t[s0] *= u[0, 0]
-    t[s0] += u[0, 1] * t[s1]
-    t[s1] *= u[1, 1]
-    t[s1] += u[1, 0] * low
+@functools.lru_cache(maxsize=4096)
+def _view(n: int, qubits: tuple, *bits: tuple) -> tuple:
+    """(shape, index per tuple in `bits`): the shape gives an n-qubit row an
+    axis of 2 per operand qubit, highest first, and one axis per run of the
+    other qubits around them; each index fixes qubits[i] to bits[i].  One
+    qubit q gives the (outer, 2, inner) view.  Cached: plans reuse views."""
+    order = sorted(range(len(qubits)), key=qubits.__getitem__, reverse=True)
+    shape, top = [], n
+    for i in order:
+        shape += (2 ** (top - 1 - qubits[i]), 2)
+        top = qubits[i]
+    shape.append(2**top)
+    return (tuple(shape),) + tuple(tuple(x for i in order for x in (slice(None), b[i])) for b in bits)
 
 
-def _apply_diag(amps: np.ndarray, n: int, q: int, d: tuple) -> None:
-    """diag(d0, d1): scale each half of an (outer, 2, inner) view in place,
-    skipping a factor of exactly 1.  Equal to `_apply_1q` under
-    np.array_equal: there the zero entries only add signed zeros."""
-    v = amps.reshape(2 ** (n - 1 - q), 2, 2**q)
-    for b, f in enumerate(d):
+def _apply_general(v: np.ndarray, s0: tuple, s1: tuple, u: np.ndarray) -> None:
+    """Any 2x2 block u acting on the subspace pair (v[s0], v[s1])."""
+    low = v[s0].copy()
+    v[s0] *= u[0, 0]
+    v[s0] += u[0, 1] * v[s1]
+    v[s1] *= u[1, 1]
+    v[s1] += u[1, 0] * low
+
+
+def _apply_diag(v: np.ndarray, s0: tuple, s1: tuple, d: tuple) -> None:
+    """diag(d0, d1): scale each subspace, skipping a factor of exactly 1.
+    Equal to `_apply_general` under np.array_equal: there the zero entries
+    only add signed zeros."""
+    for s, f in zip((s0, s1), d):
         if f != 1:
-            v[:, b] *= f
+            v[s] *= f
 
 
-def _apply_anti(amps: np.ndarray, n: int, q: int, a: tuple) -> None:
-    """[[0, a0], [a1, 0]]: swap the halves, then scale them as `_apply_diag` does."""
-    v = amps.reshape(2 ** (n - 1 - q), 2, 2**q)
-    v[...] = v[:, ::-1]
-    _apply_diag(amps, n, q, a)
-
-
-def _apply_perm(amps: np.ndarray, n: int, sel_a: tuple, sel_b: tuple) -> None:
-    """Exchange two disjoint subspaces (cnot, toffoli, swap)."""
-    t = amps.reshape((2,) * n)
-    tmp = t[sel_a].copy()
-    t[sel_a] = t[sel_b]
-    t[sel_b] = tmp
-
-
-def _apply_phase(amps: np.ndarray, n: int, sel: tuple, factor: complex) -> None:
-    t = amps.reshape((2,) * n)
-    t[sel] *= factor
+def _apply_anti(v: np.ndarray, s0: tuple, s1: tuple, a: tuple) -> None:
+    """[[0, a0], [a1, 0]]: exchange the subspaces, then scale them as
+    `_apply_diag` does."""
+    low = v[s0].copy()
+    v[s0] = v[s1]
+    v[s1] = low
+    _apply_diag(v, s0, s1, a)
 
 
 def _branch_probs(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
     """(p0, p1) of measuring qubit q."""
-    t = amps.reshape((2,) * n)
-    return tuple(float(np.sum(np.abs(t[_sel(n, {q: b})].reshape(-1)) ** 2)) for b in (0, 1))
+    shape, *halves = _view(n, (q,), (0,), (1,))
+    v = amps.reshape(shape)
+    # Flattened first, each half is summed pairwise over one fixed order.
+    return tuple(float(np.sum(np.abs(v[s].reshape(-1)) ** 2)) for s in halves)
 
 
 def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float, close: bool = False) -> np.ndarray:
@@ -187,9 +182,10 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float, close: b
     `close`, return that half as a new (n-1)-qubit row without qubit q."""
     if p < MIN_BRANCH_PROB:
         raise SimError("measurement branch probability is numerically zero")
+    shape, keep, drop = _view(n, (q,), (outcome,), (1 - outcome,))
     if close:
-        return (amps.reshape(2 ** (n - 1 - q), 2, 2**q)[:, outcome] / np.sqrt(p)).reshape(-1)
-    amps.reshape((2,) * n)[_sel(n, {q: 1 - outcome})] = 0.0
+        return (amps.reshape(shape)[keep] / np.sqrt(p)).reshape(-1)
+    amps.reshape(shape)[drop] = 0.0
     amps /= np.sqrt(p)
     return amps
 
@@ -202,41 +198,37 @@ def _compile_op(n: int, op: GateOp) -> tuple:
 def _compile_step(n: int, k: GateKind, q: tuple, params: tuple, clbit) -> tuple:
     """Pre-resolve one op, given by its parts, into a kernel step.
 
-    Steps: ("m", qubit, clbit) for measurement;
-           ("diag", qubit, (u00, u11)) for a diagonal 1q gate (z, rz);
-           ("anti", qubit, (u01, u10)) for an anti-diagonal 1q gate (x, y);
-           ("1q", qubit, 2x2 unitary) for any other single-qubit gate;
-           ("perm", sel_a, sel_b) for subspace exchange (cnot/toffoli/swap);
-           ("phase", sel, factor) for a diagonal phase (cphase).
+    Steps: ("m", qubit, clbit) for measurement; for a unitary, (kernel,
+    shape, s0, s1, block): the 2x2 block acts on the subspace pair s0, s1 of
+    the row reshaped to `shape` (`_view`).  By the block's zero pattern:
+           ("diag", ..., (u00, u11)) for z, rz and cphase;
+           ("anti", ..., (u01, u10)) for x, y, cnot, toffoli and swap;
+           ("general", ..., 2x2 unitary) for any other 1q gate.
     """
     if k is GateKind.MEASURE:
         return ("m", q[0], clbit)
-    if k.qubit_arity == 1:
-        u = gates.unitary_of(k, params)
-        if u[0, 1] == 0 and u[1, 0] == 0:
-            return ("diag", q[0], (u[0, 0], u[1, 1]))
-        if u[0, 0] == 0 and u[1, 1] == 0:
-            return ("anti", q[0], (u[0, 1], u[1, 0]))
-        return ("1q", q[0], u)
-    if k is GateKind.CNOT:
-        return ("perm", _sel(n, {q[0]: 1, q[1]: 0}), _sel(n, {q[0]: 1, q[1]: 1}))
-    if k is GateKind.TOFFOLI:
-        return (
-            "perm",
-            _sel(n, {q[0]: 1, q[1]: 1, q[2]: 0}),
-            _sel(n, {q[0]: 1, q[1]: 1, q[2]: 1}),
-        )
     if k is GateKind.SWAP:
-        return ("perm", _sel(n, {q[0]: 0, q[1]: 1}), _sel(n, {q[0]: 1, q[1]: 0}))
-    assert k is GateKind.CPHASE
-    return ("phase", _sel(n, {q[0]: 1, q[1]: 1}), np.exp(1j * params[0]))
+        return ("anti",) + _view(n, q, (0, 1), (1, 0)) + ((1, 1),)
+    ones = (1,) * (len(q) - 1)
+    pair = _view(n, q, ones + (0,), ones + (1,))
+    if k is GateKind.CPHASE:
+        return ("diag",) + pair + ((1, np.exp(1j * params[0])),)
+    if len(q) > 1:  # cnot, toffoli
+        return ("anti",) + pair + ((1, 1),)
+    u = gates.unitary_of(k, params)
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        return ("diag",) + pair + ((u[0, 0], u[1, 1]),)
+    if u[0, 0] == 0 and u[1, 1] == 0:
+        return ("anti",) + pair + ((u[0, 1], u[1, 0]),)
+    return ("general",) + pair + (u,)
 
 
-_KERNELS = {"1q": _apply_1q, "diag": _apply_diag, "anti": _apply_anti, "perm": _apply_perm, "phase": _apply_phase}
+_KERNELS = {"general": _apply_general, "diag": _apply_diag, "anti": _apply_anti}
 
 
-def _exec_unitary(amps: np.ndarray, n: int, step: tuple) -> None:
-    _KERNELS[step[0]](amps, n, *step[1:])
+def _exec_unitary(amps: np.ndarray, step: tuple) -> None:
+    kind, shape, s0, s1, block = step
+    _KERNELS[kind](amps.reshape(shape), s0, s1, block)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +243,7 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
         if not 0 <= q < state.n:
             raise SimError(f"qubit {q} out of range for {state.n}-qubit state")
     amps = state.amps.astype(complex)
-    _exec_unitary(amps, state.n, _compile_op(state.n, op))
+    _exec_unitary(amps, _compile_op(state.n, op))
     return StateVector(state.n, amps)
 
 
@@ -508,7 +500,7 @@ def _walk(circuit: Circuit, plan: list[tuple], root, split):
             step = plan[i]
             kind = step[0]
             if kind in _KERNELS:
-                _exec_unitary(amps, n, step)
+                _exec_unitary(amps, step)
                 continue
             if kind == "grow":
                 amps = np.concatenate((amps, np.zeros(amps.size * ((1 << step[1]) - 1), complex)))
@@ -542,8 +534,8 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= 2**32:  # so that each shot's stream has one spawn word
+        raise ValidationError(f"shots must be from 1 to 2^32, got {shots}")
     if chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
 

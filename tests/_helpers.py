@@ -223,17 +223,21 @@ def _measure_batch(states: np.ndarray, n: int, q: int, draws: np.ndarray) -> np.
     return outcome
 
 
+def general_step(n: int, op: GateOp) -> tuple:
+    """The op as the simulator's general update on its planned subspace pair,
+    with the 2x2 block read off its full `unitary_of` matrix: the |01>, |10>
+    block for swap, the last two rows and columns otherwise."""
+    u = unitary_of(op.kind, op.params)
+    block = u[1:3, 1:3] if op.kind is GateKind.SWAP else u[-2:, -2:]
+    return ("general",) + _compile_op(n, op)[1:4] + (block,)
+
+
 def _reference_plan(circuit: Circuit) -> list[tuple]:
-    """One step per op, every 1q gate as the general ("1q", q, u) update and
-    every measure as ("m", q, c) on the full row: none of the simulator's
-    per-kind kernels or its terminal-measure table."""
+    """One step per op, every unitary as its `general_step` and every measure
+    as ("m", q, c) on the full row: none of the simulator's diag and anti
+    constants or its terminal-measure table."""
     n = circuit.num_qubits
-    return [
-        ("1q", op.qubits[0], unitary_of(op.kind, op.params))
-        if op.kind is not GateKind.MEASURE and op.kind.qubit_arity == 1
-        else _compile_op(n, op)
-        for op in circuit.ops
-    ]
+    return [_compile_op(n, op) if op.kind is GateKind.MEASURE else general_step(n, op) for op in circuit.ops]
 
 
 def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
@@ -258,7 +262,7 @@ def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_si
                 mi += 1
             else:
                 for row in states:
-                    _exec_unitary(row, n, step)
+                    _exec_unitary(row, step)
         for row in creg:
             key = "".join("1" if b else "0" for b in row[::-1])
             counts[key] = counts.get(key, 0) + 1
@@ -276,7 +280,7 @@ def reference_exact_distribution(circuit: Circuit) -> ExactDistribution:
         for i in range(idx, len(plan)):
             step = plan[i]
             if step[0] != "m":
-                _exec_unitary(amps, n, step)
+                _exec_unitary(amps, step)
                 continue
             _, q, c = step
             t = amps.reshape((2,) * n)

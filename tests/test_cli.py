@@ -57,10 +57,13 @@ class TestExitCodes:
             (["simulate", "/no/such/file.qc"], 2),
             (["simulate", nomeasure_file], 3),                # validation
             (["simulate", bell_file, "--shots", "0"], 3),
+            # past 2^32 shots: refused at once instead of running without end
+            (["simulate", bell_file, "--shots", "99999999999999999999"], 3),
+            (["factor15", "--shots", "99999999999999999999"], 3),
         ]
         for argv, expected in cases:
             assert main(argv) == expected, f"{argv} should exit {expected}"
-            capsys.readouterr()
+            assert "Traceback" not in "".join(capsys.readouterr()), argv
 
     def test_reused_parser_repeats_itself(self, capsys):
         # main builds its parser once per process; a failed parse must leave

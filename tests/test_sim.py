@@ -1,4 +1,5 @@
 """Simulator: kernels vs dense oracle, measurement collapse, shot sampling."""
+import itertools
 import math
 import tracemalloc
 
@@ -14,7 +15,6 @@ from gatekit.gates import unitary_of
 from gatekit.sim import (
     ClassicalRegister,
     StateVector,
-    _apply_1q,
     _compile_op,
     _compile_plan,
     _draws,
@@ -28,6 +28,8 @@ from gatekit.sim import (
 from _helpers import (
     _shot_stream,
     dense_final_state,
+    dense_gate_matrix,
+    general_step,
     random_circuit,
     reference_exact_distribution,
     reference_run_shots,
@@ -94,27 +96,51 @@ class TestApplyGate:
 
 
 class TestPlannedKernels:
-    """Each 1q gate's planned kernel against the general 2x2 update, bit for bit."""
+    """Each unitary's planned kernel against the general 2x2 update on the
+    same subspace pair, bit for bit, and against the dense oracle."""
+
+    KINDS = [
+        (GateKind.H, (), "general"),
+        (GateKind.X, (), "anti"),
+        (GateKind.Y, (), "anti"),
+        (GateKind.Z, (), "diag"),
+        (GateKind.RX, (0.7,), "general"),
+        (GateKind.RX, (0.0,), "diag"),
+        (GateKind.RY, (-1.3,), "general"),
+        (GateKind.RZ, (2.1,), "diag"),
+        (GateKind.CNOT, (), "anti"),
+        (GateKind.TOFFOLI, (), "anti"),
+        (GateKind.SWAP, (), "anti"),
+        (GateKind.CPHASE, (0.9,), "diag"),
+    ]
+
+    @staticmethod
+    def _operands(rng, n, arity):
+        """Every operand order at n <= 3 (targets above, below and between
+        the controls; swap both ways); otherwise the lowest qubits, the
+        highest qubits in reverse, and four random picks."""
+        if n <= 3:
+            return list(itertools.permutations(range(n), arity))
+        picks = [tuple(range(arity)), tuple(range(n - 1, n - 1 - arity, -1))]
+        return picks + [tuple(int(q) for q in rng.choice(n, arity, replace=False)) for _ in range(4)]
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_equal_to_general_update(self, n):
         rng = np.random.default_rng(n)
-        cases = [
-            (GateKind.X, (), "anti"),
-            (GateKind.Y, (), "anti"),
-            (GateKind.Z, (), "diag"),
-            (GateKind.RZ, (float(rng.uniform(-2 * math.pi, 2 * math.pi)),), "diag"),
-            (GateKind.RX, (0.0,), "diag"),
-        ]
-        for kind, params, planned in cases:
-            for q in range(n):
+        for kind, params, planned in self.KINDS:
+            if kind.qubit_arity > n:
+                continue
+            for qubits in self._operands(rng, n, kind.qubit_arity):
+                op = GateOp(kind, qubits, params)
                 amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-                step = _compile_op(n, GateOp(kind, (q,), params))
-                assert step[0] == planned
+                step = _compile_op(n, op)
+                assert step[0] == planned, (kind, qubits)
                 got, expected = amps.copy(), amps.copy()
-                _exec_unitary(got, n, step)
-                _apply_1q(expected, n, q, unitary_of(kind, params))
-                assert np.array_equal(got, expected), (kind, q)
+                _exec_unitary(got, step)
+                _exec_unitary(expected, general_step(n, op))
+                assert np.array_equal(got, expected), (kind, qubits)
+                dense = dense_gate_matrix(n, qubits, unitary_of(kind, params)) @ amps
+                np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12, err_msg=f"{kind} {qubits}")
 
 
 class TestApplyMeasure:
@@ -187,6 +213,14 @@ class TestRunShots:
 
         with pytest.raises(ValidationError):
             run_shots(build_bell(), 0, 0)
+
+    @pytest.mark.parametrize("shots", [2**32 + 1, 10**20])
+    def test_shot_count_is_bounded(self, monkeypatch, shots):
+        from gatekit.algos import build_bell
+
+        monkeypatch.setattr(sim, "_draws", lambda *args: pytest.fail("drew before refusing"))
+        with pytest.raises(ValidationError, match="2\\^32"):
+            run_shots(build_bell(), shots, 0)
 
     @pytest.mark.parametrize("mid_circuit", [False, True])
     def test_numerically_zero_branch_raises(self, monkeypatch, mid_circuit):
@@ -417,7 +451,7 @@ class TestBranchWalk:
         expected = [_compile_op(4, op) for op in c.ops[:4] + c.ops[5:15]]
         assert [step[0] for step in plan[:14]] == [step[0] for step in expected]
         for got, want in zip(plan[4:14], expected[4:]):
-            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+            assert got[:4] == want[:4] and np.array_equal(got[4], want[4])
         assert plan[14:] == full[-3:] == [("reduce", (0, 1)), ("m", 0, 0), ("m", 1, 1)]
 
     def test_plan_closes_a_measured_qubit_nothing_reads_again(self):
@@ -434,7 +468,7 @@ class TestBranchWalk:
         c.add_gate("measure", [2, 2])
         plan = _compile_plan(c)
         assert [step[0] for step in plan] == [
-            "grow", "1q", "m", "grow", "perm", "close", "m", "grow", "perm", "reduce", "m",
+            "grow", "general", "m", "grow", "anti", "close", "m", "grow", "anti", "reduce", "m",
         ]
         assert plan[0] == plan[3] == plan[7] == ("grow", 1)
         assert plan[2] == ("m", 0, 0) and plan[5] == ("close", 0, 1) and plan[6] == ("m", 0, 2)
