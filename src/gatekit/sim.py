@@ -35,7 +35,6 @@ per-measure collapse of the full row in program order.
 """
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -127,19 +126,19 @@ class ExactDistribution:
 # kernels over one state row (2^n amplitudes), all updating in place
 
 
-@functools.lru_cache(maxsize=4096)
 def _view(n: int, qubits: tuple, *bits: tuple) -> tuple:
     """(shape, index per tuple in `bits`): the shape gives an n-qubit row an
     axis of 2 per operand qubit, highest first, and one axis per run of the
     other qubits around them; each index fixes qubits[i] to bits[i].  One
-    qubit q gives the (outer, 2, inner) view.  Cached: plans reuse views."""
-    order = sorted(range(len(qubits)), key=qubits.__getitem__, reverse=True)
-    shape, top = [], n
-    for i in order:
-        shape += (2 ** (top - 1 - qubits[i]), 2)
+    qubit q gives the (outer, 2, inner) view."""
+    shape, top, index = [], n, [[] for _ in bits]
+    for i in sorted(range(len(qubits)), key=qubits.__getitem__, reverse=True):
+        shape += (1 << top - 1 - qubits[i], 2)
         top = qubits[i]
-    shape.append(2**top)
-    return (tuple(shape),) + tuple(tuple(x for i in order for x in (slice(None), b[i])) for b in bits)
+        for ix, b in zip(index, bits):
+            ix += (slice(None), b[i])
+    shape.append(1 << top)
+    return (tuple(shape), *map(tuple, index))
 
 
 def _apply_general(v: np.ndarray, s0: tuple, s1: tuple, u: np.ndarray) -> None:

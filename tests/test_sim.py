@@ -76,6 +76,14 @@ class TestApplyGate:
         with pytest.raises(SimError):
             apply_gate(StateVector.zero(1), GateOp(GateKind.CNOT, (0, 1)))
 
+    def test_list_operands(self):
+        # GateOp accepts any sequence of qubits; a list must run like a tuple.
+        for kind, qubits in [(GateKind.H, [0]), (GateKind.CNOT, [2, 0]), (GateKind.TOFFOLI, [0, 2, 1])]:
+            state = StateVector(3, np.arange(8) + 1j)
+            got = apply_gate(state, GateOp(kind, qubits))
+            want = apply_gate(state, GateOp(kind, tuple(qubits)))
+            assert np.array_equal(got.amps, want.amps), kind
+
     def test_matches_dense_oracle_on_random_circuits(self):
         rng = np.random.default_rng(21)
         for _ in range(60):
@@ -116,13 +124,16 @@ class TestPlannedKernels:
 
     @staticmethod
     def _operands(rng, n, arity):
-        """Every operand order at n <= 3 (targets above, below and between
-        the controls; swap both ways); otherwise the lowest qubits, the
-        highest qubits in reverse, and four random picks."""
-        if n <= 3:
-            return list(itertools.permutations(range(n), arity))
+        """Every qubit of a 1q gate, and every operand order at n <= 3
+        (targets above, below and between the controls; swap both ways);
+        otherwise the lowest qubits, the highest qubits in reverse, and four
+        more orders drawn without repeats."""
+        orders = list(itertools.permutations(range(n), arity))
+        if n <= 3 or arity == 1:
+            return orders
         picks = [tuple(range(arity)), tuple(range(n - 1, n - 1 - arity, -1))]
-        return picks + [tuple(int(q) for q in rng.choice(n, arity, replace=False)) for _ in range(4)]
+        picks += [orders[i] for i in rng.choice(len(orders), 6, replace=False)]
+        return list(dict.fromkeys(picks))[:6]
 
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_equal_to_general_update(self, n):
