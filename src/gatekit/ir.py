@@ -9,6 +9,7 @@ later measures into the same classical bit overwrite earlier results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -99,8 +100,8 @@ class GateOp:
                 f"got {len(self.params)}"
             )
         for angle in self.params:
-            if not math.isfinite(angle):
-                raise ValidationError(f"angle {angle!r} is not finite")
+            if not isinstance(angle, numbers.Real) or not math.isfinite(angle):
+                raise ValidationError(f"angle {angle!r} is not a finite number")
         if (self.clbit is not None) != (self.kind is GateKind.MEASURE):
             raise ValidationError("clbit must be present exactly for measure")
         if self.clbit is not None and (not isinstance(self.clbit, int) or isinstance(self.clbit, bool)):
@@ -140,12 +141,16 @@ class Circuit:
         are the gate's qubits in [control..., target] order.
         """
         kind = resolve_gate_name(name)
+        if kind is GateKind.MEASURE and len(operands) != 2:
+            raise ArityError(f"measure takes [qubit, clbit], got {list(operands)}")
+        try:
+            params = tuple(float(p) for p in params)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{kind.value} angles must be numbers, got {params!r}") from None
         if kind is GateKind.MEASURE:
-            if len(operands) != 2:
-                raise ArityError(f"measure takes [qubit, clbit], got {list(operands)}")
-            op = GateOp(kind, (operands[0],), tuple(float(p) for p in params), operands[1])
+            op = GateOp(kind, (operands[0],), params, operands[1])
         else:
-            op = GateOp(kind, tuple(operands), tuple(float(p) for p in params))
+            op = GateOp(kind, tuple(operands), params)
         self._check_ranges(op)
         self.ops.append(op)
         return self

@@ -8,7 +8,7 @@ Conventions:
   * shot s consumes its own substream derived from (seed, s), so shots can
     execute in any batching/order with identical results: numpy's
     default_rng(SeedSequence(entropy=zigzag(seed), spawn_key=(s,))).random(),
-    computed for all shots of a chunk at once by `_draws`.
+    computed for all shots of a chunk at once by `_draws`, one spawn word each.
 
 Every gate is a two-level unitary: one 2x2 block on a pair of subspaces of
 the state row, for cnot, toffoli and cphase the target's two halves with
@@ -28,10 +28,10 @@ dependency order: it skips gates outside the light cone of the measured
 qubits and runs each unitary before every measure it does not depend on,
 keeping every measure's draw and order.  The row holds only the live
 qubits: a qubit enters at its first kept op and leaves at a measure that
-nothing later reads.  The trailing measures (after the last unitary) run
-on the probability table of their k qubits, once per history, for all of
-its rows at once (`_finish`).  Each can move a p1 by a few ulps against a
-per-measure collapse of the full row in program order.
+nothing later reads.  The steps end at the last unitary; the trailing
+measures after it run on the probability table of their k qubits, once per
+history, for all of its rows at once (`_finish`).  Each can move a p1 by a
+few ulps against a per-measure collapse of the full row in program order.
 """
 from __future__ import annotations
 
@@ -189,11 +189,6 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float, close: b
     return amps
 
 
-def _compile_op(n: int, op: GateOp) -> tuple:
-    """Pre-resolve one op into a kernel step on an n-qubit row (`_compile_step`)."""
-    return _compile_step(n, op.kind, op.qubits, op.params, op.clbit)
-
-
 def _compile_step(n: int, k: GateKind, q: tuple, params: tuple, clbit) -> tuple:
     """Pre-resolve one op, given by its parts, into a kernel step.
 
@@ -234,15 +229,22 @@ def _exec_unitary(amps: np.ndarray, step: tuple) -> None:
 # single-state operations
 
 
+def _check_operands(state: StateVector, qubits) -> None:
+    """Refuse a state whose amps are not 2^n long, or a qubit outside it."""
+    if np.shape(state.amps) != (2**state.n,):
+        raise SimError(f"amps of shape {np.shape(state.amps)} do not fit a {state.n}-qubit state")
+    for q in qubits:
+        if not 0 <= q < state.n:
+            raise SimError(f"qubit {q} out of range for {state.n}-qubit state")
+
+
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Return the state transformed by one non-measure instruction."""
     if op.kind is GateKind.MEASURE:
         raise SimError("apply_gate cannot execute measure; use apply_measure")
-    for q in op.qubits:
-        if not 0 <= q < state.n:
-            raise SimError(f"qubit {q} out of range for {state.n}-qubit state")
+    _check_operands(state, op.qubits)
     amps = state.amps.astype(complex)
-    _exec_unitary(amps, _compile_op(state.n, op))
+    _exec_unitary(amps, _compile_step(state.n, op.kind, op.qubits, op.params, op.clbit))
     return StateVector(state.n, amps)
 
 
@@ -257,8 +259,7 @@ def apply_measure(
 
     `rng` is any stream with a `random()` method; one uniform is consumed.
     """
-    if not 0 <= q < state.n:
-        raise SimError(f"qubit {q} out of range for {state.n}-qubit state")
+    _check_operands(state, (q,))
     if not 0 <= c < len(reg.bits):
         raise SimError(f"clbit {c} out of range for {len(reg.bits)}-bit register")
     amps = state.amps.copy()
@@ -274,7 +275,7 @@ def apply_measure(
 # shot execution
 
 
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 # numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -325,14 +326,11 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
     """float64[size, n_meas]: row i is shot start+i's n_meas uniforms.
 
     Bit-identical to default_rng(SeedSequence(entropy=zigzag(seed),
-    spawn_key=(s,))).random(n_meas), computed for all shots at once: the
-    seed-only part of the SeedSequence pool is hashed once as Python ints,
-    the spawn word(s) and generate_state(4, uint64) as uint32 arrays, and
-    PCG64's seeding and draws as 128-bit LCG jumps on uint64 (hi, lo) pairs.
+    spawn_key=(s,))).random(n_meas) for start + size <= 2^32, computed for
+    all shots at once: the seed-only part of the SeedSequence pool is hashed
+    once as Python ints, each shot's one spawn word and generate_state(4,
+    uint64) as uint32 arrays, and PCG64's LCG steps on uint64 (hi, lo) pairs.
     """
-    if start < 2**32 < start + size:  # shots >= 2^32 have two spawn words
-        head = 2**32 - start
-        return np.concatenate([_draws(seed, start, head, n_meas), _draws(seed, 2**32, size - head, n_meas)])
     seed = operator.index(seed)
     # Zigzag maps any int seed onto the non-negative entropy SeedSequence
     # needs; its little-endian 32-bit words are zero-padded to the pool size.
@@ -347,34 +345,28 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
     for w in words[4:]:
         pool = [_mix(p, _hash(w, next(consts))) for p in pool]
     pool = np.array(pool, np.uint32)[:, None]
-    shot = np.arange(start, start + size, dtype=np.uint64)
-    for i in range(1 + (start >= 2**32)):
-        pool = _mix(pool, _hash((shot >> 32 * i & _M32).astype(np.uint32), _const_cols(consts, 4)))
+    pool = _mix(pool, _hash(np.arange(start, start + size, dtype=np.uint32), _const_cols(consts, 4)))
     state = _hash(np.tile(pool, (2, 1)), _const_cols(_hash_consts(_INIT_B, _MULT_B), 8)).astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = state[0::2] | state[1::2] << 32
 
-    # PCG64 seeding: inc = 2*initseq + 1; state = step(step(0) + initstate),
-    # where step(x) = M*x + inc.  Draw k then reads the state k+1 steps on,
-    # M^(k+2)*(inc + initstate) + (M^(k+1) + ... + 1)*inc, through XSL-RR.
+    # PCG64 from inc = 2*initseq + 1 and state = inc + initstate: one step,
+    # state = M*state + inc, seeds it, and each later step emits one draw by
+    # XSL-RR.  M stays an array so that every product wraps as an array op.
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    base_hi, base_lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
-    jumps, power, total = [], _PCG_MULT**2 & _M128, _PCG_MULT + 1
-    for _ in range(n_meas):
-        jumps.append(divmod(power, 2**64) + divmod(total, 2**64))
-        power, total = power * _PCG_MULT & _M128, total * _PCG_MULT + 1 & _M128
-    p_hi, p_lo, t_hi, t_lo = np.array(jumps, np.uint64).T
-    hi, lo = _add128(
-        *_mul128(base_hi[:, None], base_lo[:, None], p_hi, p_lo),
-        *_mul128(inc_hi[:, None], inc_lo[:, None], t_hi, t_lo),
-    )
-    x, rot = hi ^ lo, hi >> 58
-    out = x >> rot | x << ((64 - rot) & 63)
-    return (out >> 11) * 2.0**-53
+    hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    mult = np.array([divmod(_PCG_MULT, 2**64)], np.uint64).T
+    out = np.empty((size, n_meas))
+    for k in range(-1, n_meas):
+        hi, lo = _add128(*_mul128(hi, lo, *mult), inc_hi, inc_lo)
+        if k >= 0:
+            x, rot = hi ^ lo, hi >> 58
+            out[:, k] = (x >> rot | x << ((64 - rot) & 63)) >> 11
+    return out * 2.0**-53
 
 
-def _compile_plan(circuit: Circuit) -> list[tuple]:
-    """The circuit's steps in dependency order, with the same measured
-    distributions and the same draw per measure.
+def _compile_plan(circuit: Circuit) -> tuple[list[tuple], tuple, list[tuple]]:
+    """(steps, table, trailing): the circuit in dependency order, with the
+    same measured distributions and the same draw per measure.
 
     A backward scan keeps every measure and only the unitaries in the light
     cone of the measured qubits: one that shares a qubit with a later kept
@@ -385,10 +377,11 @@ def _compile_plan(circuit: Circuit) -> list[tuple]:
     row as it is then: a qubit takes the next slot at its first kept op,
     after one ("grow", k) step for the k qubits that op brings in, and a
     measure whose qubit no later kept op touches is ("close", slot, clbit),
-    after which the higher slots shift down.  The trailing measures (those
-    after the last unitary) are preceded by a grow of their qubits no gate
-    touched and ("reduce", slots) over their k distinct qubits in order of
-    first appearance, and measure qubit j of the k-qubit row it leaves.
+    after which the higher slots shift down.  The steps end at the last
+    unitary, then a grow of the trailing measures' qubits no gate touched.
+    `table` holds the slots of the k distinct qubits the trailing measures
+    read, in order of first appearance, and `trailing` one (j, clbit) per
+    trailing measure, which measures qubit j of that k-qubit table.
     """
     needed, kept = set(), []
     for op in reversed(circuit.ops):
@@ -410,12 +403,12 @@ def _compile_plan(circuit: Circuit) -> list[tuple]:
     # The last kept op is always a measure, so the trailing table is never empty.
     head = max((i + 1 for i, op in enumerate(ops) if op.kind is not GateKind.MEASURE), default=0)
     last = {q: i for i, op in enumerate(ops) for q in op.qubits}
-    live, plan = [], []
+    live, steps = [], []
 
     def grow(qubits):
         new = [q for q in qubits if q not in live]
         if new:
-            plan.append(("grow", len(new)))
+            steps.append(("grow", len(new)))
             live.extend(new)
 
     for i, op in enumerate(ops[:head]):
@@ -424,11 +417,10 @@ def _compile_plan(circuit: Circuit) -> list[tuple]:
         if op.kind is GateKind.MEASURE and last[op.qubits[0]] == i:
             step = ("close",) + step[1:]
             live.remove(op.qubits[0])
-        plan.append(step)
+        steps.append(step)
     qubits = tuple(dict.fromkeys(op.qubits[0] for op in ops[head:]))
     grow(qubits)
-    plan.append(("reduce", tuple(map(live.index, qubits))))
-    return plan + [("m", qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
+    return steps, tuple(map(live.index, qubits)), [(qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
 
 
 def _marginal_table(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
@@ -443,10 +435,10 @@ def _marginal_table(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
     return t.transpose([axes.index(q) for q in reversed(qubits)]).reshape(-1)
 
 
-def _finish(table: np.ndarray, steps: list[tuple], mi: int, key: str, payload, split):
-    """Run the trailing measures `steps` on a k-qubit probability table for
-    all rows of `payload` at once; return (keys, inverse, payload): one key
-    per distinct outcome and, per row, the index of its key.
+def _finish(table: np.ndarray, trailing: list[tuple], mi: int, key: str, payload, split):
+    """Run the trailing measures, (j, clbit) pairs, on a k-qubit probability
+    table for all rows of `payload` at once; return (keys, inverse, payload):
+    one key per distinct outcome and, per row, the index of its key.
 
     A row's code holds the outcomes of the table qubits fixed so far, which
     are 0..j-1 when qubit j is first measured.  At that measure (m0, m1) is
@@ -455,7 +447,7 @@ def _finish(table: np.ndarray, steps: list[tuple], mi: int, key: str, payload, s
     qubit keeps its outcome and draws nothing; its draw column `mi` advances.
     """
     codes, last, fixed, bit = np.zeros(len(payload), np.int64), {}, 0, np.array([[0], [1]])
-    for mi, (_, j, c) in enumerate(steps, mi):
+    for mi, (j, c) in enumerate(trailing, mi):
         if j == fixed:
             m = table.reshape(-1, 2 << j).sum(0)[codes | bit << j]
             parent, outcome, payload = split(payload, mi, m / (m[0] + m[1]))
@@ -473,9 +465,9 @@ def _finish(table: np.ndarray, steps: list[tuple], mi: int, key: str, payload, s
     return keys, inverse, payload
 
 
-def _walk(circuit: Circuit, plan: list[tuple], root, split):
+def _walk(circuit: Circuit, plan: tuple, root, split):
     """Depth-first over measurement histories; yields `_finish`'s (keys,
-    inverse, payload) per history that reaches the trailing table.
+    inverse, payload) per history when it runs out of steps.
 
     A node is one state row plus the classical key and a mode payload of
     rows: shots when sampling, one weight in exact mode.  `split(payload, mi,
@@ -487,16 +479,17 @@ def _walk(circuit: Circuit, plan: list[tuple], root, split):
     child, outcome 0 first: at an "m" step every child but the last gets a
     copy of the row and the last collapses it in place; at a "close" step
     each child gets its outcome's half without the qubit.  Only rows of
-    pending siblings on the current path are held, never one per shot.  The
-    reduce step hands the probability table (`_marginal_table`) to `_finish`.
+    pending siblings on the current path are held, never one per shot.  Past
+    the last step, the probability table of the plan's table slots
+    (`_marginal_table`) goes to `_finish` with the trailing measures.
     """
+    steps, table, trailing = plan
     nc = circuit.num_clbits
     stack = [(0, 0, np.ones(1, complex), "0" * nc, root)]
     while stack:
         start, mi, amps, key, payload = stack.pop()
         n = amps.size.bit_length() - 1
-        for i in range(start, len(plan)):
-            step = plan[i]
+        for i, step in enumerate(steps[start:], start):
             kind = step[0]
             if kind in _KERNELS:
                 _exec_unitary(amps, step)
@@ -505,9 +498,6 @@ def _walk(circuit: Circuit, plan: list[tuple], root, split):
                 amps = np.concatenate((amps, np.zeros(amps.size * ((1 << step[1]) - 1), complex)))
                 n += step[1]
                 continue
-            if kind == "reduce":
-                yield _finish(_marginal_table(amps, n, step[1]), plan[i + 1 :], mi, key, payload, split)
-                break
             _, q, c = step
             p = _branch_probs(amps, n, q)
             _, outcomes, payload = split(payload, mi, np.array(p)[:, None])
@@ -519,6 +509,8 @@ def _walk(circuit: Circuit, plan: list[tuple], root, split):
                 child_key = key[: nc - 1 - c] + str(outcome) + key[nc - c :]
                 stack.append((i + 1, mi + 1, row, child_key, sub))
             break
+        else:
+            yield _finish(_marginal_table(amps, n, table), trailing, mi, key, payload, split)
 
 
 def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
@@ -539,7 +531,7 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
 
     plan = _compile_plan(circuit)
-    n_meas = sum(1 for step in plan if step[0] in ("m", "close"))
+    n_meas = sum(op.kind is GateKind.MEASURE for op in circuit.ops)
     counts: dict[str, int] = {}
 
     for start in range(0, shots, chunk_size):
@@ -569,9 +561,8 @@ def exact_distribution(circuit: Circuit) -> ExactDistribution:
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
-    plan = _compile_plan(circuit)
-    r = [step[0] for step in plan].index("reduce")
-    splits = sum(step[0] in ("m", "close") for step in plan[:r]) + len(plan[r][1])
+    steps, table, _ = plan = _compile_plan(circuit)
+    splits = sum(step[0] in ("m", "close") for step in steps) + len(table)
     if splits > MEASURE_BRANCH_CAP:
         raise BranchCapError(f"{splits} branch points on one path exceed the {MEASURE_BRANCH_CAP}-branch cap")
 

@@ -21,7 +21,7 @@ from gatekit.sim import (
     MIN_BRANCH_PROB,
     Counts,
     ExactDistribution,
-    _compile_op,
+    _compile_step,
     _exec_unitary,
 )
 
@@ -229,7 +229,7 @@ def general_step(n: int, op: GateOp) -> tuple:
     block for swap, the last two rows and columns otherwise."""
     u = unitary_of(op.kind, op.params)
     block = u[1:3, 1:3] if op.kind is GateKind.SWAP else u[-2:, -2:]
-    return ("general",) + _compile_op(n, op)[1:4] + (block,)
+    return ("general",) + _compile_step(n, op.kind, op.qubits, op.params, op.clbit)[1:4] + (block,)
 
 
 def _reference_plan(circuit: Circuit) -> list[tuple]:
@@ -237,7 +237,10 @@ def _reference_plan(circuit: Circuit) -> list[tuple]:
     as ("m", q, c) on the full row: none of the simulator's diag and anti
     constants or its terminal-measure table."""
     n = circuit.num_qubits
-    return [_compile_op(n, op) if op.kind is GateKind.MEASURE else general_step(n, op) for op in circuit.ops]
+    return [
+        _compile_step(n, op.kind, op.qubits, op.params, op.clbit) if op.kind is GateKind.MEASURE else general_step(n, op)
+        for op in circuit.ops
+    ]
 
 
 def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:

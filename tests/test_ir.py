@@ -152,6 +152,15 @@ class TestAddGate:
             with pytest.raises(ValidationError):
                 c.add_gate("rx", [0], [bad])
 
+    @pytest.mark.parametrize("bad", ["abc", None, "x", 1j, [0.5]])
+    def test_non_numeric_angle_is_validation_error(self, bad):
+        with pytest.raises(ValidationError):
+            Circuit(1).add_gate("rx", [0], [bad])
+        with pytest.raises(ValidationError):
+            GateOp(GateKind.RX, (0,), (bad,))
+        # add_gate still reads a numeric string as its float.
+        assert Circuit(1).add_gate("rx", [0], ["1.5"]).ops[0].params == (1.5,)
+
     def test_invalid_append_leaves_circuit_unchanged(self):
         c = Circuit(3, 1)
         c.add_gate("h", [0]).add_gate("cnot", [0, 1])

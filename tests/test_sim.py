@@ -1,6 +1,9 @@
 """Simulator: kernels vs dense oracle, measurement collapse, shot sampling."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,8 +18,8 @@ from gatekit.gates import unitary_of
 from gatekit.sim import (
     ClassicalRegister,
     StateVector,
-    _compile_op,
     _compile_plan,
+    _compile_step,
     _draws,
     _exec_unitary,
     apply_gate,
@@ -75,6 +78,14 @@ class TestApplyGate:
     def test_operand_out_of_range(self):
         with pytest.raises(SimError):
             apply_gate(StateVector.zero(1), GateOp(GateKind.CNOT, (0, 1)))
+
+    @pytest.mark.parametrize("shape", [(3,), (8,), (2, 2), ()])
+    def test_amps_of_the_wrong_shape(self, shape):
+        state = StateVector(2, np.ones(shape, complex))
+        with pytest.raises(SimError, match="shape"):
+            apply_gate(state, GateOp(GateKind.H, (0,)))
+        with pytest.raises(SimError, match="shape"):
+            apply_measure(state, 0, 0, ClassicalRegister.zeros(1), _FixedDraws(0.5))
 
     def test_list_operands(self):
         # GateOp accepts any sequence of qubits; a list must run like a tuple.
@@ -144,7 +155,7 @@ class TestPlannedKernels:
             for qubits in self._operands(rng, n, kind.qubit_arity):
                 op = GateOp(kind, qubits, params)
                 amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-                step = _compile_op(n, op)
+                step = _compile_step(n, kind, qubits, params, None)
                 assert step[0] == planned, (kind, qubits)
                 got, expected = amps.copy(), amps.copy()
                 _exec_unitary(got, step)
@@ -303,8 +314,8 @@ class TestDraws:
     # 2^130 + 3 zigzags to five entropy words, past SeedSequence's pool of four.
     @pytest.mark.parametrize("seed", [0, 1, 7, -1, -5, 2**32 - 1, 2**32, 2**64, -2**70, 2**130 + 3])
     def test_matches_numpy_streams(self, seed):
-        # 2^32 - 3 straddles the shot index where the spawn key needs two words
-        for start in (0, 2**32 - 3, 2**40):
+        # The block at 2^32 - 6 ends at the last shot run_shots accepts.
+        for start in (0, 2**32 - 6):
             for n_meas in (1, 3, 8):
                 got = _draws(seed, start, 6, n_meas)
                 assert got.shape == (6, n_meas)
@@ -312,13 +323,33 @@ class TestDraws:
 
     @given(
         st.integers(-(2**200), 2**200),
-        st.integers(0, 2**45),
+        st.integers(0, 2**32 - 5),
         st.integers(1, 5),
         st.integers(1, 8),
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_numpy_streams_property(self, seed, start, size, n_meas):
         assert np.array_equal(_draws(seed, start, size, n_meas), _stream_draws(seed, start, size, n_meas))
+
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy 1 imports numpy.random eagerly")
+    def test_package_never_loads_numpy_random(self):
+        # Loading numpy.random costs about 6 MiB of peak RSS and 13 ms in a
+        # fresh process; the draws are computed without it.
+        script = """if True:
+            import contextlib, io, sys
+            from gatekit import cli
+            from gatekit.algos import build_bell, build_shor15
+            from gatekit.sim import exact_distribution, run_shots
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["factor15"]) == 0
+            exact_distribution(build_shor15())
+            run_shots(build_bell(), 10)
+            assert "numpy.random" not in sys.modules, "numpy.random was loaded"
+        """
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestBranchWalk:
@@ -456,14 +487,14 @@ class TestBranchWalk:
 
     def test_plan_defers_measure_and_drops_unseen_gate(self):
         c = self._dependency_circuit()
-        full = _compile_plan(c)
+        steps, table, trailing = _compile_plan(c)
         # Qubits enter the row in the order 0-3, so each slot is its qubit.
-        plan = [step for step in full if step[0] != "grow"]
-        expected = [_compile_op(4, op) for op in c.ops[:4] + c.ops[5:15]]
-        assert [step[0] for step in plan[:14]] == [step[0] for step in expected]
-        for got, want in zip(plan[4:14], expected[4:]):
+        plan = [step for step in steps if step[0] != "grow"]
+        expected = [_compile_step(4, op.kind, op.qubits, op.params, op.clbit) for op in c.ops[:4] + c.ops[5:15]]
+        assert [step[0] for step in plan] == [step[0] for step in expected]
+        for got, want in zip(plan[4:], expected[4:]):
             assert got[:4] == want[:4] and np.array_equal(got[4], want[4])
-        assert plan[14:] == full[-3:] == [("reduce", (0, 1)), ("m", 0, 0), ("m", 1, 1)]
+        assert table == (0, 1) and trailing == [(0, 0), (1, 1)]
 
     def test_plan_closes_a_measured_qubit_nothing_reads_again(self):
         # Qubit 0's first measure is read again by a cnot, so its slot stays;
@@ -477,14 +508,12 @@ class TestBranchWalk:
         c.add_gate("measure", [1, 2])
         c.add_gate("cnot", [1, 2])
         c.add_gate("measure", [2, 2])
-        plan = _compile_plan(c)
-        assert [step[0] for step in plan] == [
-            "grow", "general", "m", "grow", "anti", "close", "m", "grow", "anti", "reduce", "m",
-        ]
+        plan, table, trailing = _compile_plan(c)
+        assert [step[0] for step in plan] == ["grow", "general", "m", "grow", "anti", "close", "m", "grow", "anti"]
         assert plan[0] == plan[3] == plan[7] == ("grow", 1)
         assert plan[2] == ("m", 0, 0) and plan[5] == ("close", 0, 1) and plan[6] == ("m", 0, 2)
-        assert plan[4] == plan[8] == _compile_op(2, GateOp(GateKind.CNOT, (0, 1)))
-        assert plan[9:] == [("reduce", (1,)), ("m", 0, 2)]
+        assert plan[4] == plan[8] == _compile_step(2, GateKind.CNOT, (0, 1), (), None)
+        assert table == (1,) and trailing == [(0, 2)]
 
     @classmethod
     def _idle_measure_circuits(cls, seed, count):
@@ -508,8 +537,13 @@ class TestBranchWalk:
 
     def test_untouched_qubit_measures_match_oracles(self):
         for i, (circuit, closes) in enumerate(self._idle_measure_circuits(56, 15)):
-            kinds = [step[0] for step in _compile_plan(circuit)]
-            assert ("close" in kinds) == closes and kinds[kinds.index("reduce") - 1] == "grow"
+            steps, table, trailing = _compile_plan(circuit)
+            kinds = [step[0] for step in steps]
+            # The first trailing qubit, which nothing touched before, enters
+            # the row last, into its top slot, just before the table reads it.
+            width = sum(step[1] for step in steps if step[0] == "grow") - kinds.count("close")
+            assert ("close" in kinds) == closes and steps[-1] == ("grow", 1) and table[0] == width - 1
+            assert len(table) == len(trailing) == 2 + (not closes)
             self._assert_matches_oracles(circuit, i, (1, 7, 4096))
 
     def test_gates_after_a_deferred_measure_run_once(self, monkeypatch):
