@@ -8,11 +8,11 @@ four counting qubits (0-3), four work qubits (4-7) holding 7^x mod 15, a
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from .ir import Circuit
+from .ir import Circuit, GateOp
 from .sim import Counts, run_shots
 
 
@@ -52,7 +52,13 @@ def build_bell() -> Circuit:
 
 
 def build_shor15() -> Circuit:
-    """Compiled order-finding circuit for 7 mod 15 (8 qubits, 33 instructions)."""
+    """Compiled order-finding circuit for 7 mod 15 (8 qubits, 33 instructions):
+    a new circuit each call, over ops built and validated on the first."""
+    return Circuit(8, 8, list(_shor15_ops()))
+
+
+@functools.cache
+def _shor15_ops() -> tuple[GateOp, ...]:
     circuit = Circuit(8, 8)
     for i in range(4):
         circuit.add_gate("h", [i])
@@ -82,7 +88,7 @@ def build_shor15() -> Circuit:
     # counting-register readout overwrites clbits 4-7
     for i in range(4):
         circuit.add_gate("measure", [i, i + 4])
-    return circuit
+    return tuple(circuit.ops)
 
 
 def extract_measured_values(counts, n_count: int) -> set[int]:
@@ -95,7 +101,7 @@ def extract_measured_values(counts, n_count: int) -> set[int]:
 
 def estimate_period(m: int, n_count: int) -> int:
     """Denominator of m / 2^n_count in lowest terms: the period estimate."""
-    return Fraction(m, 2**n_count).denominator
+    return 2**n_count // math.gcd(m, 2**n_count)
 
 
 def extract_factors(measured_values: set[int], config: ShorConfig = ShorConfig()) -> FactorReport:

@@ -32,9 +32,17 @@ nothing later reads.  The steps end at the last unitary; the trailing
 measures after it run on the probability table of their k qubits, once per
 history, for all of its rows at once (`_finish`).  Each can move a p1 by a
 few ulps against a per-measure collapse of the full row in program order.
+
+The simulator keeps the plan of the last circuit it ran, keyed on the
+contents of its ops, so rerunning one circuit, with any seed or shot count
+or as exact_distribution then run_shots, compiles it once, and a changed
+circuit compiles again.  The plan holds from about 250 B a step at 8-16
+qubits to 600 B at 20, plus its key: 9 KiB for the factoring circuit, 13 KiB
+for a 60-op n=16 circuit, 6 MiB for 10 000 ops at n=20 (tracemalloc).
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -276,10 +284,15 @@ def apply_measure(
 
 
 _M32 = 2**32 - 1
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+# numpy's SeedSequence hash constants.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64's 128-bit LCG multiplier: its high and low words, then the low
+# word's two 32-bit limbs, each a uint64 array so that every product wraps
+# as an array op.
+_PCG_HI, _PCG_LO, _PCG_LO0, _PCG_LO1 = (
+    np.array([w], np.uint64) for w in (0x2360ED051FC65DA4, 0x4385DF649FCCF645, 0x9FCCF645, 0x4385DF64)
+)
 
 
 def _hash_consts(init: int, mult: int):
@@ -308,13 +321,14 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _mul128(ah, al, bh, bl):
-    """(a * b) mod 2^128 on (hi, lo) uint64 pairs; mulhi via 32-bit limbs."""
-    a0, a1, b0, b1 = al & _M32, al >> 32, bl & _M32, bl >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    mulhi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return mulhi + al * bh + ah * bl, al * bl
+def _mul128(ah, al):
+    """(a * PCG64's multiplier) mod 2^128 on (hi, lo) uint64 pairs; mulhi
+    via 32-bit limbs."""
+    a0, a1 = al & _M32, al >> 32
+    p01, p10 = a0 * _PCG_LO1, a1 * _PCG_LO0
+    mid = (a0 * _PCG_LO0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    mulhi = a1 * _PCG_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return mulhi + al * _PCG_HI + ah * _PCG_LO, al * _PCG_LO
 
 
 def _add128(ah, al, bh, bl):
@@ -351,13 +365,12 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
 
     # PCG64 from inc = 2*initseq + 1 and state = inc + initstate: one step,
     # state = M*state + inc, seeds it, and each later step emits one draw by
-    # XSL-RR.  M stays an array so that every product wraps as an array op.
+    # XSL-RR.
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
-    mult = np.array([divmod(_PCG_MULT, 2**64)], np.uint64).T
     out = np.empty((size, n_meas))
     for k in range(-1, n_meas):
-        hi, lo = _add128(*_mul128(hi, lo, *mult), inc_hi, inc_lo)
+        hi, lo = _add128(*_mul128(hi, lo), inc_hi, inc_lo)
         if k >= 0:
             x, rot = hi ^ lo, hi >> 58
             out[:, k] = (x >> rot | x << ((64 - rot) & 63)) >> 11
@@ -365,8 +378,15 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
 
 
 def _compile_plan(circuit: Circuit) -> tuple[list[tuple], tuple, list[tuple]]:
-    """(steps, table, trailing): the circuit in dependency order, with the
-    same measured distributions and the same draw per measure.
+    """The circuit's plan (`_plan`), cached on the contents of its ops."""
+    return _plan(tuple((op.kind, tuple(op.qubits), tuple(op.params), op.clbit) for op in circuit.ops))
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(ops: tuple) -> tuple[list[tuple], tuple, list[tuple]]:
+    """(steps, table, trailing) for (kind, qubits, params, clbit) ops: the
+    circuit in dependency order, with the same measured distributions and the
+    same draw per measure.  Runs share the one plan kept and never change it.
 
     A backward scan keeps every measure and only the unitaries in the light
     cone of the measured qubits: one that shares a qubit with a later kept
@@ -384,25 +404,26 @@ def _compile_plan(circuit: Circuit) -> tuple[list[tuple], tuple, list[tuple]]:
     trailing measure, which measures qubit j of that k-qubit table.
     """
     needed, kept = set(), []
-    for op in reversed(circuit.ops):
-        if op.kind is GateKind.MEASURE or needed.intersection(op.qubits):
-            needed.update(op.qubits)
+    for op in reversed(ops):
+        if op[0] is GateKind.MEASURE or needed.intersection(op[1]):
+            needed.update(op[1])
             kept.append(op)
     # Segment i > 0 opens with measure i-1; after[q] is the segment of q's
     # latest measure or kept unitary so far.
     after, segments = {}, [[]]
     for op in reversed(kept):
-        if op.kind is GateKind.MEASURE:
+        kind, qubits = op[:2]
+        if kind is GateKind.MEASURE:
             segments.append([op])
-            after[op.qubits[0]] = len(segments) - 1
+            after[qubits[0]] = len(segments) - 1
         else:
-            s = max(after.get(q, 0) for q in op.qubits)
+            s = max(after.get(q, 0) for q in qubits)
             segments[s].append(op)
-            after.update((q, s) for q in op.qubits)
+            after.update((q, s) for q in qubits)
     ops = [op for segment in segments for op in segment]
     # The last kept op is always a measure, so the trailing table is never empty.
-    head = max((i + 1 for i, op in enumerate(ops) if op.kind is not GateKind.MEASURE), default=0)
-    last = {q: i for i, op in enumerate(ops) for q in op.qubits}
+    head = max((i + 1 for i, op in enumerate(ops) if op[0] is not GateKind.MEASURE), default=0)
+    last = {q: i for i, op in enumerate(ops) for q in op[1]}
     live, steps = [], []
 
     def grow(qubits):
@@ -411,16 +432,17 @@ def _compile_plan(circuit: Circuit) -> tuple[list[tuple], tuple, list[tuple]]:
             steps.append(("grow", len(new)))
             live.extend(new)
 
-    for i, op in enumerate(ops[:head]):
-        grow(op.qubits)
-        step = _compile_step(len(live), op.kind, tuple(map(live.index, op.qubits)), op.params, op.clbit)
-        if op.kind is GateKind.MEASURE and last[op.qubits[0]] == i:
+    for i, (kind, qubits, params, clbit) in enumerate(ops[:head]):
+        grow(qubits)
+        step = _compile_step(len(live), kind, tuple(map(live.index, qubits)), params, clbit)
+        if kind is GateKind.MEASURE and last[qubits[0]] == i:
             step = ("close",) + step[1:]
-            live.remove(op.qubits[0])
+            live.remove(qubits[0])
         steps.append(step)
-    qubits = tuple(dict.fromkeys(op.qubits[0] for op in ops[head:]))
+    trailing = [(op[1][0], op[3]) for op in ops[head:]]
+    qubits = tuple(dict.fromkeys(q for q, _ in trailing))
     grow(qubits)
-    return steps, tuple(map(live.index, qubits)), [(qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
+    return steps, tuple(map(live.index, qubits)), [(qubits.index(q), c) for q, c in trailing]
 
 
 def _marginal_table(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:

@@ -16,7 +16,7 @@ from gatekit.algos import (
     run_shor15_pipeline,
 )
 from gatekit.emit import print_circuit
-from gatekit.ir import GateKind
+from gatekit.ir import Circuit, GateKind
 from gatekit.sim import exact_distribution
 
 SHOR_KEYS = {"00000000", "01000000", "10000000", "11000000"}
@@ -90,6 +90,37 @@ class TestBuildShor15:
         assert measures[:4] == [(4, 4), (5, 5), (6, 6), (7, 7)]
         assert measures[4:] == [(0, 4), (1, 5), (2, 6), (3, 7)]
 
+    def test_calls_return_independent_circuits(self):
+        first = build_shor15()
+        first.add_gate("x", [0])
+        first.ops[0] = first.ops[1]
+        second = build_shor15()
+        assert len(second.ops) == 33 and second.ops[0].qubits == (0,)
+        assert second.ops is not build_shor15().ops
+
+    def test_ops_equal_a_reference_built_gate_by_gate(self):
+        ref = Circuit(8, 8)
+        for q in range(4):
+            ref.add_gate("h", [q])
+        ref.add_gate("x", [4])
+        for operands in ([0, 5], [0, 6], [1, 4], [1, 6]):
+            ref.add_gate("cnot", operands)
+        for q in range(4, 8):
+            ref.add_gate("toffoli", [0, 1, q])
+        for q in range(4, 8):
+            ref.add_gate("measure", [q, q])
+        for target in (3, 2, 1, 0):
+            ref.add_gate("h", [target])
+            for control in range(target - 1, -1, -1):
+                ref.add_gate("cphase", [control, target], [math.pi / 2 ** (target - control)])
+        ref.add_gate("swap", [0, 3])
+        ref.add_gate("swap", [1, 2])
+        for q in range(4):
+            ref.add_gate("measure", [q, q + 4])
+        c = build_shor15()
+        assert (c.num_qubits, c.num_clbits) == (8, 8)
+        assert c.ops == ref.ops
+
     def test_exact_distribution_support(self):
         dist = exact_distribution(build_shor15())
         assert set(dist.entries) == SHOR_KEYS
@@ -113,6 +144,12 @@ class TestEstimatePeriod:
     @pytest.mark.parametrize("m,r", [(8, 2), (12, 4), (4, 4)])
     def test_examples(self, m, r):
         assert estimate_period(m, 4) == r
+
+    @pytest.mark.parametrize("n_count", range(7))
+    def test_matches_fraction_denominator(self, n_count):
+        size = 2**n_count
+        for m in (0, -1, -size, -3 * size - 1, *range(-size - 3, 2 * size + 3)):
+            assert estimate_period(m, n_count) == Fraction(m, size).denominator, m
 
     def test_denominator_divides_register_size(self):
         for m in range(1, 16):

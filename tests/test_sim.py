@@ -1,4 +1,5 @@
 """Simulator: kernels vs dense oracle, measurement collapse, shot sampling."""
+import copy
 import itertools
 import math
 import os
@@ -786,3 +787,125 @@ class TestExactDistribution:
             circuit.add_gate("measure", [q, q])
         counts = run_shots(circuit, 20000, 8)
         assert tv_distance(counts, exact_distribution(circuit)) <= 0.02
+
+
+def _same(a, b) -> bool:
+    """Equal in structure and value, numpy arrays included."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class TestPlanCache:
+    """run_shots and exact_distribution keep the plan of the last circuit
+    compiled; every result must equal a cold run, made with the cache cleared."""
+
+    @staticmethod
+    def _run(circuit):
+        return run_shots(circuit, 500, 11).entries, exact_distribution(circuit).entries
+
+    @staticmethod
+    def _cold(circuit):
+        sim._plan.cache_clear()
+        counts = run_shots(circuit, 500, 11).entries
+        sim._plan.cache_clear()
+        exact = exact_distribution(circuit).entries
+        sim._plan.cache_clear()
+        return counts, exact
+
+    @staticmethod
+    def _circuit(rng, n=4, nc=3):
+        c = random_circuit(rng, n, 14, num_clbits=nc, measure_prob=0.2)
+        for q in range(nc):
+            c.add_gate("measure", [q, q])
+        return c
+
+    def test_circuit_changed_after_a_run_compiles_again(self):
+        for change in ("add_gate", "replace"):
+            c = Circuit(3, 3)
+            c.add_gate("h", [0])
+            c.add_gate("cnot", [0, 1])
+            c.add_gate("ry", [2], [0.9])
+            for q in range(3):
+                c.add_gate("measure", [q, q])
+            before = self._run(c)
+            if change == "add_gate":
+                c.add_gate("x", [1])
+                c.add_gate("measure", [1, 1])
+            else:
+                c.ops[2] = GateOp(GateKind.RY, (2,), (2.1,))
+            after = self._run(c)
+            assert after != before, change
+            assert after == self._cold(c), change
+
+    def test_list_operands_through_append(self):
+        c = Circuit(3, 2)
+        c.append(GateOp(GateKind.H, [0]))
+        c.append(GateOp(GateKind.CNOT, [0, 2]))
+        c.append(GateOp(GateKind.RY, [1], [0.7]))
+        c.append(GateOp(GateKind.MEASURE, [2], clbit=0))
+        c.append(GateOp(GateKind.MEASURE, [1], clbit=1))
+        ref = Circuit(3, 2)
+        for name, operands, params in (("h", [0], []), ("cnot", [0, 2], []), ("ry", [1], [0.7]),
+                                       ("measure", [2, 0], []), ("measure", [1, 1], [])):
+            ref.add_gate(name, operands, params)
+        assert self._run(c) == self._run(c) == self._cold(ref)
+
+    @pytest.mark.parametrize("name,operands", [("rx", [1]), ("ry", [1]), ("rz", [1]), ("cphase", [0, 1])])
+    def test_signed_zero_angles(self, name, operands):
+        def circuit(angle):
+            c = Circuit(2, 2)
+            c.add_gate("h", [0])
+            c.add_gate("h", [1])
+            c.add_gate(name, operands, [angle])
+            c.add_gate("h", [1])
+            c.add_gate("measure", [0, 0])
+            c.add_gate("measure", [1, 1])
+            return c
+
+        # 0.0 == -0.0, so the angles are told apart by index, not as dict keys.
+        angles = (0.0, -0.0)
+        assert math.copysign(1, circuit(-0.0).ops[2].params[0]) == -1
+        cold = [self._cold(circuit(angle)) for angle in angles]
+        assert cold[0] == cold[1]
+        for order in ((0, 1), (1, 0)):
+            sim._plan.cache_clear()
+            for i in order:
+                assert self._run(circuit(angles[i])) == cold[i]
+            # The two angles compare equal, so the second run reused the plan.
+            assert sim._plan.cache_info().misses == 1
+
+    def test_interleaved_runs_equal_cold_runs(self):
+        rng = np.random.default_rng(72)
+        for _ in range(5):
+            a, b = self._circuit(rng), self._circuit(rng, n=5, nc=2)
+            cold_a, cold_b = self._cold(a), self._cold(b)
+            assert [self._run(c) for c in (a, b, a)] == [cold_a, cold_b, cold_a]
+
+    def test_exact_then_sampling_compiles_once(self, monkeypatch):
+        c = self._circuit(np.random.default_rng(73))
+        sim._plan.cache_clear()
+        calls = []
+        compile_step = sim._compile_step
+        monkeypatch.setattr(sim, "_compile_step", lambda *args: calls.append(args) or compile_step(*args))
+        exact_distribution(c)
+        compiled = len(calls)
+        run_shots(c, 100, 3)
+        run_shots(c, 100, 4)
+        assert compiled > 0 and len(calls) == compiled
+        assert sim._plan.cache_info().misses == 1
+
+    def test_runs_never_change_the_plan(self):
+        rng = np.random.default_rng(74)
+        for _ in range(5):
+            c = self._circuit(rng, n=5)
+            sim._plan.cache_clear()
+            plan = _compile_plan(c)
+            kept = copy.deepcopy(plan)
+            for chunk_size in (1, 7, 4096):
+                run_shots(c, 300, 2, chunk_size=chunk_size)
+            exact_distribution(c)
+            assert _compile_plan(c) is plan
+            assert _same(plan, kept)
