@@ -8,11 +8,10 @@ four counting qubits (0-3), four work qubits (4-7) holding 7^x mod 15, a
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
-from .ir import Circuit, GateOp
+from .ir import Circuit
 from .sim import Counts, run_shots
 
 
@@ -52,13 +51,7 @@ def build_bell() -> Circuit:
 
 
 def build_shor15() -> Circuit:
-    """Compiled order-finding circuit for 7 mod 15 (8 qubits, 33 instructions):
-    a new circuit each call, over ops built and validated on the first."""
-    return Circuit(8, 8, list(_shor15_ops()))
-
-
-@functools.cache
-def _shor15_ops() -> tuple[GateOp, ...]:
+    """Compiled order-finding circuit for 7 mod 15 (8 qubits, 33 instructions)."""
     circuit = Circuit(8, 8)
     for i in range(4):
         circuit.add_gate("h", [i])
@@ -88,7 +81,7 @@ def _shor15_ops() -> tuple[GateOp, ...]:
     # counting-register readout overwrites clbits 4-7
     for i in range(4):
         circuit.add_gate("measure", [i, i + 4])
-    return tuple(circuit.ops)
+    return circuit
 
 
 def extract_measured_values(counts, n_count: int) -> set[int]:

@@ -37,13 +37,15 @@ The simulator keeps the plan of the last circuit it ran, keyed on the
 contents of its ops, so rerunning one circuit, with any seed or shot count
 or as exact_distribution then run_shots, compiles it once, and a changed
 circuit compiles again.  The plan holds from about 250 B a step at 8-16
-qubits to 600 B at 20, plus its key: 9 KiB for the factoring circuit, 13 KiB
-for a 60-op n=16 circuit, 6 MiB for 10 000 ops at n=20 (tracemalloc).
+qubits to 600 B at 20, plus a key of about 90 B an op: 11 KiB for the
+factoring circuit, 17 KiB for a 60-op n=16 circuit, 6.5 MiB for 10 000 ops
+at n=20 (tracemalloc).
 """
 from __future__ import annotations
 
 import functools
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +216,7 @@ def _compile_step(n: int, k: GateKind, q: tuple, params: tuple, clbit) -> tuple:
     ones = (1,) * (len(q) - 1)
     pair = _view(n, q, ones + (0,), ones + (1,))
     if k is GateKind.CPHASE:
-        return ("diag",) + pair + ((1, np.exp(1j * params[0])),)
+        return ("diag",) + pair + ((1, np.exp(1j * float(params[0]))),)
     if len(q) > 1:  # cnot, toffoli
         return ("anti",) + pair + ((1, 1),)
     u = gates.unitary_of(k, params)
@@ -377,16 +379,20 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
     return out * 2.0**-53
 
 
+# One op of a plan's cache key: a hashable copy of a GateOp's fields.
+_Op = namedtuple("_Op", "kind qubits params clbit")
+
+
 def _compile_plan(circuit: Circuit) -> tuple[list[tuple], tuple, list[tuple]]:
     """The circuit's plan (`_plan`), cached on the contents of its ops."""
-    return _plan(tuple((op.kind, tuple(op.qubits), tuple(op.params), op.clbit) for op in circuit.ops))
+    return _plan(tuple(_Op(op.kind, tuple(op.qubits), tuple(op.params), op.clbit) for op in circuit.ops))
 
 
 @functools.lru_cache(maxsize=1)
-def _plan(ops: tuple) -> tuple[list[tuple], tuple, list[tuple]]:
-    """(steps, table, trailing) for (kind, qubits, params, clbit) ops: the
-    circuit in dependency order, with the same measured distributions and the
-    same draw per measure.  Runs share the one plan kept and never change it.
+def _plan(ops: tuple[_Op, ...]) -> tuple[list[tuple], tuple, list[tuple]]:
+    """(steps, table, trailing): the circuit in dependency order, with the
+    same measured distributions and the same draw per measure.  Runs share
+    the one plan kept and never change it.
 
     A backward scan keeps every measure and only the unitaries in the light
     cone of the measured qubits: one that shares a qubit with a later kept
@@ -405,25 +411,24 @@ def _plan(ops: tuple) -> tuple[list[tuple], tuple, list[tuple]]:
     """
     needed, kept = set(), []
     for op in reversed(ops):
-        if op[0] is GateKind.MEASURE or needed.intersection(op[1]):
-            needed.update(op[1])
+        if op.kind is GateKind.MEASURE or needed.intersection(op.qubits):
+            needed.update(op.qubits)
             kept.append(op)
     # Segment i > 0 opens with measure i-1; after[q] is the segment of q's
     # latest measure or kept unitary so far.
     after, segments = {}, [[]]
     for op in reversed(kept):
-        kind, qubits = op[:2]
-        if kind is GateKind.MEASURE:
+        if op.kind is GateKind.MEASURE:
             segments.append([op])
-            after[qubits[0]] = len(segments) - 1
+            after[op.qubits[0]] = len(segments) - 1
         else:
-            s = max(after.get(q, 0) for q in qubits)
+            s = max(after.get(q, 0) for q in op.qubits)
             segments[s].append(op)
-            after.update((q, s) for q in qubits)
+            after.update((q, s) for q in op.qubits)
     ops = [op for segment in segments for op in segment]
     # The last kept op is always a measure, so the trailing table is never empty.
-    head = max((i + 1 for i, op in enumerate(ops) if op[0] is not GateKind.MEASURE), default=0)
-    last = {q: i for i, op in enumerate(ops) for q in op[1]}
+    head = max((i + 1 for i, op in enumerate(ops) if op.kind is not GateKind.MEASURE), default=0)
+    last = {q: i for i, op in enumerate(ops) for q in op.qubits}
     live, steps = [], []
 
     def grow(qubits):
@@ -432,17 +437,16 @@ def _plan(ops: tuple) -> tuple[list[tuple], tuple, list[tuple]]:
             steps.append(("grow", len(new)))
             live.extend(new)
 
-    for i, (kind, qubits, params, clbit) in enumerate(ops[:head]):
-        grow(qubits)
-        step = _compile_step(len(live), kind, tuple(map(live.index, qubits)), params, clbit)
-        if kind is GateKind.MEASURE and last[qubits[0]] == i:
+    for i, op in enumerate(ops[:head]):
+        grow(op.qubits)
+        step = _compile_step(len(live), op.kind, tuple(map(live.index, op.qubits)), op.params, op.clbit)
+        if op.kind is GateKind.MEASURE and last[op.qubits[0]] == i:
             step = ("close",) + step[1:]
-            live.remove(qubits[0])
+            live.remove(op.qubits[0])
         steps.append(step)
-    trailing = [(op[1][0], op[3]) for op in ops[head:]]
-    qubits = tuple(dict.fromkeys(q for q, _ in trailing))
+    qubits = tuple(dict.fromkeys(op.qubits[0] for op in ops[head:]))
     grow(qubits)
-    return steps, tuple(map(live.index, qubits)), [(qubits.index(q), c) for q, c in trailing]
+    return steps, tuple(map(live.index, qubits)), [(qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
 
 
 def _marginal_table(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:

@@ -853,21 +853,24 @@ class TestPlanCache:
             ref.add_gate(name, operands, params)
         assert self._run(c) == self._run(c) == self._cold(ref)
 
-    @pytest.mark.parametrize("name,operands", [("rx", [1]), ("ry", [1]), ("rz", [1]), ("cphase", [0, 1])])
-    def test_signed_zero_angles(self, name, operands):
+    # Each pair compares equal, so it shares one key: 0.0 and -0.0, and an
+    # angle given as a Python float and as an np.float32 of the same value.
+    @pytest.mark.parametrize("angles", [(0.0, -0.0), (0.5, np.float32(0.5))], ids=["signed_zero", "float32"])
+    @pytest.mark.parametrize("name,operands", [("rx", (1,)), ("ry", (1,)), ("rz", (1,)), ("cphase", (0, 1))])
+    def test_equal_angles_share_one_plan(self, name, operands, angles):
         def circuit(angle):
             c = Circuit(2, 2)
             c.add_gate("h", [0])
             c.add_gate("h", [1])
-            c.add_gate(name, operands, [angle])
+            c.append(GateOp(GateKind(name), operands, (angle,)))
             c.add_gate("h", [1])
             c.add_gate("measure", [0, 0])
             c.add_gate("measure", [1, 1])
             return c
 
-        # 0.0 == -0.0, so the angles are told apart by index, not as dict keys.
-        angles = (0.0, -0.0)
-        assert math.copysign(1, circuit(-0.0).ops[2].params[0]) == -1
+        # The angles are told apart by index, not as dict keys.
+        assert [type(circuit(a).ops[2].params[0]) for a in angles] == list(map(type, angles))
+        assert math.copysign(1, circuit(angles[1]).ops[2].params[0]) == math.copysign(1, angles[1])
         cold = [self._cold(circuit(angle)) for angle in angles]
         assert cold[0] == cold[1]
         for order in ((0, 1), (1, 0)):
