@@ -82,6 +82,8 @@ class GateOp:
     clbit: int | None = None
 
     def __post_init__(self):
+        # Stored as tuples, the angles as Python floats: equal ops compare and hash alike.
+        object.__setattr__(self, "qubits", tuple(self.qubits))
         if len(self.qubits) != self.kind.qubit_arity:
             raise ArityError(
                 f"{self.kind.value} takes {self.kind.qubit_arity} qubit(s), "
@@ -102,6 +104,7 @@ class GateOp:
         for angle in self.params:
             if not isinstance(angle, numbers.Real) or not math.isfinite(angle):
                 raise ValidationError(f"angle {angle!r} is not a finite number")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
         if (self.clbit is not None) != (self.kind is GateKind.MEASURE):
             raise ValidationError("clbit must be present exactly for measure")
         if self.clbit is not None and (not isinstance(self.clbit, int) or isinstance(self.clbit, bool)):
@@ -133,6 +136,10 @@ class Circuit:
             )
         if self.num_clbits < 0:
             raise ValidationError(f"num_clbits must be >= 0, got {self.num_clbits}")
+        for op in self.ops:
+            if not isinstance(op, GateOp):
+                raise ValidationError(f"circuit ops must be GateOps, got {op!r}")
+            self._check_ranges(op)
 
     def add_gate(self, name: str, operands: list[int], params: list[float] = ()) -> "Circuit":
         """Append one instruction; on any validation error the circuit is unchanged.

@@ -23,29 +23,27 @@ run_shots and exact_distribution share one depth-first walk over measurement
 histories (`_walk`).  A node holds one state row; at a measure it splits
 into its live outcomes, by each shot's own draw when sampling or by branch
 probability when enumerating, so every reachable history is simulated once
-however many shots follow it.  The plan (`_compile_plan`) runs in
-dependency order: it skips gates outside the light cone of the measured
-qubits and runs each unitary before every measure it does not depend on,
-keeping every measure's draw and order.  The row holds only the live
-qubits: a qubit enters at its first kept op and leaves at a measure that
-nothing later reads.  The steps end at the last unitary; the trailing
-measures after it run on the probability table of their k qubits, once per
-history, for all of its rows at once (`_finish`).  Each can move a p1 by a
-few ulps against a per-measure collapse of the full row in program order.
+however many shots follow it.  The plan (`_plan`) runs in dependency
+order: it skips gates outside the light cone of the measured qubits and
+runs each unitary before every measure it does not depend on, keeping every
+measure's draw and order.  It is one segment of steps before each
+mid-circuit measure and one after the last, each step a callable that takes
+the row and returns it.  The row holds only the live qubits: a qubit enters
+at its first kept op and leaves at a measure that nothing later reads.  The
+last segment ends at the last unitary; the trailing measures after it run on
+the probability table of their k qubits, once per history, for all of its
+rows at once (`_finish`).  Each can move a p1 by a few ulps against a
+per-measure collapse of the full row in program order.
 
 The simulator keeps the plan of the last circuit it ran, keyed on the
-contents of its ops, so rerunning one circuit, with any seed or shot count
-or as exact_distribution then run_shots, compiles it once, and a changed
-circuit compiles again.  The plan holds from about 250 B a step at 8-16
-qubits to 600 B at 20, plus a key of about 90 B an op: 11 KiB for the
-factoring circuit, 17 KiB for a 60-op n=16 circuit, 6.5 MiB for 10 000 ops
-at n=20 (tracemalloc).
+circuit's GateOps, so rerunning one circuit, with any seed or shot count or
+as exact_distribution then run_shots, compiles it once, and a changed
+circuit compiles again.  The plan holds 600-730 B a step (see the README).
 """
 from __future__ import annotations
 
 import functools
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,17 +149,19 @@ def _view(n: int, qubits: tuple, *bits: tuple) -> tuple:
     return (tuple(shape), *map(tuple, index))
 
 
-def _apply_general(v: np.ndarray, s0: tuple, s1: tuple, u: np.ndarray) -> None:
-    """Any 2x2 block u acting on the subspace pair (v[s0], v[s1])."""
+def _apply_general(shape: tuple, s0: tuple, s1: tuple, u: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Any 2x2 block u on the subspace pair (v[s0], v[s1]) of the row as `shape`."""
+    v = amps.reshape(shape)
     low = v[s0].copy()
     v[s0] *= u[0, 0]
     v[s0] += u[0, 1] * v[s1]
     v[s1] *= u[1, 1]
     v[s1] += u[1, 0] * low
+    return amps
 
 
-def _apply_diag(v: np.ndarray, s0: tuple, s1: tuple, d: tuple) -> None:
-    """diag(d0, d1): scale each subspace, skipping a factor of exactly 1.
+def _scale(v: np.ndarray, s0: tuple, s1: tuple, d: tuple) -> None:
+    """Scale v[s0] by d0 and v[s1] by d1, skipping a factor of exactly 1.
     Equal to `_apply_general` under np.array_equal: there the zero entries
     only add signed zeros."""
     for s, f in zip((s0, s1), d):
@@ -169,13 +169,25 @@ def _apply_diag(v: np.ndarray, s0: tuple, s1: tuple, d: tuple) -> None:
             v[s] *= f
 
 
-def _apply_anti(v: np.ndarray, s0: tuple, s1: tuple, a: tuple) -> None:
-    """[[0, a0], [a1, 0]]: exchange the subspaces, then scale them as
-    `_apply_diag` does."""
+def _apply_diag(shape: tuple, s0: tuple, s1: tuple, d: tuple, amps: np.ndarray) -> np.ndarray:
+    """diag(d0, d1) on the subspace pair (`_scale`)."""
+    _scale(amps.reshape(shape), s0, s1, d)
+    return amps
+
+
+def _apply_anti(shape: tuple, s0: tuple, s1: tuple, a: tuple, amps: np.ndarray) -> np.ndarray:
+    """[[0, a0], [a1, 0]]: exchange the subspaces, then `_scale` them."""
+    v = amps.reshape(shape)
     low = v[s0].copy()
     v[s0] = v[s1]
     v[s1] = low
-    _apply_diag(v, s0, s1, a)
+    _scale(v, s0, s1, a)
+    return amps
+
+
+def _grow(k: int, amps: np.ndarray) -> np.ndarray:
+    """The row with k new highest qubits, all |0>: zero past the old row."""
+    return np.concatenate((amps, np.zeros(amps.size * ((1 << k) - 1), complex)))
 
 
 def _branch_probs(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
@@ -199,40 +211,26 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float, close: b
     return amps
 
 
-def _compile_step(n: int, k: GateKind, q: tuple, params: tuple, clbit) -> tuple:
-    """Pre-resolve one op, given by its parts, into a kernel step.
-
-    Steps: ("m", qubit, clbit) for measurement; for a unitary, (kernel,
-    shape, s0, s1, block): the 2x2 block acts on the subspace pair s0, s1 of
-    the row reshaped to `shape` (`_view`).  By the block's zero pattern:
-           ("diag", ..., (u00, u11)) for z, rz and cphase;
-           ("anti", ..., (u01, u10)) for x, y, cnot, toffoli and swap;
-           ("general", ..., 2x2 unitary) for any other 1q gate.
-    """
-    if k is GateKind.MEASURE:
-        return ("m", q[0], clbit)
+def _compile_step(n: int, k: GateKind, q: tuple, params: tuple) -> functools.partial:
+    """One unitary, given by its parts, as a step: a kernel bound to (shape,
+    s0, s1, block), whose 2x2 block acts on the subspace pair s0, s1 of the
+    row reshaped to `shape` (`_view`).  By the block's zero pattern, the
+    kernel is `_apply_diag` for z, rz and cphase, `_apply_anti` for x, y,
+    cnot, toffoli and swap, and `_apply_general` for any other 1q gate."""
     if k is GateKind.SWAP:
-        return ("anti",) + _view(n, q, (0, 1), (1, 0)) + ((1, 1),)
+        return functools.partial(_apply_anti, *_view(n, q, (0, 1), (1, 0)), (1, 1))
     ones = (1,) * (len(q) - 1)
     pair = _view(n, q, ones + (0,), ones + (1,))
     if k is GateKind.CPHASE:
-        return ("diag",) + pair + ((1, np.exp(1j * float(params[0]))),)
+        return functools.partial(_apply_diag, *pair, (1, np.exp(1j * params[0])))
     if len(q) > 1:  # cnot, toffoli
-        return ("anti",) + pair + ((1, 1),)
+        return functools.partial(_apply_anti, *pair, (1, 1))
     u = gates.unitary_of(k, params)
     if u[0, 1] == 0 and u[1, 0] == 0:
-        return ("diag",) + pair + ((u[0, 0], u[1, 1]),)
+        return functools.partial(_apply_diag, *pair, (u[0, 0], u[1, 1]))
     if u[0, 0] == 0 and u[1, 1] == 0:
-        return ("anti",) + pair + ((u[0, 1], u[1, 0]),)
-    return ("general",) + pair + (u,)
-
-
-_KERNELS = {"general": _apply_general, "diag": _apply_diag, "anti": _apply_anti}
-
-
-def _exec_unitary(amps: np.ndarray, step: tuple) -> None:
-    kind, shape, s0, s1, block = step
-    _KERNELS[kind](amps.reshape(shape), s0, s1, block)
+        return functools.partial(_apply_anti, *pair, (u[0, 1], u[1, 0]))
+    return functools.partial(_apply_general, *pair, u)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +251,7 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     if op.kind is GateKind.MEASURE:
         raise SimError("apply_gate cannot execute measure; use apply_measure")
     _check_operands(state, op.qubits)
-    amps = state.amps.astype(complex)
-    _exec_unitary(amps, _compile_step(state.n, op.kind, op.qubits, op.params, op.clbit))
-    return StateVector(state.n, amps)
+    return StateVector(state.n, _compile_step(state.n, op.kind, op.qubits, op.params)(state.amps.astype(complex)))
 
 
 def apply_measure(
@@ -347,7 +343,6 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
     once as Python ints, each shot's one spawn word and generate_state(4,
     uint64) as uint32 arrays, and PCG64's LCG steps on uint64 (hi, lo) pairs.
     """
-    seed = operator.index(seed)
     # Zigzag maps any int seed onto the non-negative entropy SeedSequence
     # needs; its little-endian 32-bit words are zero-padded to the pool size.
     entropy = 2 * seed if seed >= 0 else -2 * seed - 1
@@ -379,32 +374,26 @@ def _draws(seed: int, start: int, size: int, n_meas: int) -> np.ndarray:
     return out * 2.0**-53
 
 
-# One op of a plan's cache key: a hashable copy of a GateOp's fields.
-_Op = namedtuple("_Op", "kind qubits params clbit")
-
-
-def _compile_plan(circuit: Circuit) -> tuple[list[tuple], tuple, list[tuple]]:
-    """The circuit's plan (`_plan`), cached on the contents of its ops."""
-    return _plan(tuple(_Op(op.kind, tuple(op.qubits), tuple(op.params), op.clbit) for op in circuit.ops))
-
-
 @functools.lru_cache(maxsize=1)
-def _plan(ops: tuple[_Op, ...]) -> tuple[list[tuple], tuple, list[tuple]]:
-    """(steps, table, trailing): the circuit in dependency order, with the
-    same measured distributions and the same draw per measure.  Runs share
-    the one plan kept and never change it.
+def _plan(ops: tuple[GateOp, ...]) -> tuple[list[list], list[tuple], tuple, list[tuple]]:
+    """(segments, measures, table, trailing): the circuit's ops in dependency
+    order, with the same measured distributions and the same draw per
+    measure.  Runs share the one plan kept and never change it.
 
     A backward scan keeps every measure and only the unitaries in the light
     cone of the measured qubits: one that shares a qubit with a later kept
     measure or kept unitary.  Measures keep their program order, and each
     kept unitary runs right after the latest earlier measure it depends on,
     through its qubits or the earlier gates on them, so it runs before every
-    measure it does not depend on.  Steps are compiled over the slots of the
-    row as it is then: a qubit takes the next slot at its first kept op,
-    after one ("grow", k) step for the k qubits that op brings in, and a
-    measure whose qubit no later kept op touches is ("close", slot, clbit),
-    after which the higher slots shift down.  The steps end at the last
-    unitary, then a grow of the trailing measures' qubits no gate touched.
+    measure it does not depend on.
+
+    measures[i] is (slot, clbit, close) for mid-circuit measure i, one before
+    the last unitary, and segments[i] the steps (`_compile_step`) that run
+    before it, over the slots of the row as it is then.  A qubit takes the
+    next slot at its first kept op, after one `_grow` step for the k qubits
+    that op brings in; a measure whose qubit no later kept op touches closes
+    its slot, and the higher slots shift down.  The last segment ends at the
+    last unitary and a grow of the trailing measures' untouched qubits.
     `table` holds the slots of the k distinct qubits the trailing measures
     read, in order of first appearance, and `trailing` one (j, clbit) per
     trailing measure, which measures qubit j of that k-qubit table.
@@ -414,39 +403,44 @@ def _plan(ops: tuple[_Op, ...]) -> tuple[list[tuple], tuple, list[tuple]]:
         if op.kind is GateKind.MEASURE or needed.intersection(op.qubits):
             needed.update(op.qubits)
             kept.append(op)
-    # Segment i > 0 opens with measure i-1; after[q] is the segment of q's
+    # Group i > 0 opens with measure i-1; after[q] is the group of q's
     # latest measure or kept unitary so far.
-    after, segments = {}, [[]]
+    after, groups = {}, [[]]
     for op in reversed(kept):
         if op.kind is GateKind.MEASURE:
-            segments.append([op])
-            after[op.qubits[0]] = len(segments) - 1
+            groups.append([op])
+            after[op.qubits[0]] = len(groups) - 1
         else:
-            s = max(after.get(q, 0) for q in op.qubits)
-            segments[s].append(op)
-            after.update((q, s) for q in op.qubits)
-    ops = [op for segment in segments for op in segment]
+            g = max(after.get(q, 0) for q in op.qubits)
+            groups[g].append(op)
+            after.update((q, g) for q in op.qubits)
+    ops = [op for group in groups for op in group]
     # The last kept op is always a measure, so the trailing table is never empty.
     head = max((i + 1 for i, op in enumerate(ops) if op.kind is not GateKind.MEASURE), default=0)
     last = {q: i for i, op in enumerate(ops) for q in op.qubits}
-    live, steps = [], []
+    live, segments, measures = [], [[]], []
 
     def grow(qubits):
         new = [q for q in qubits if q not in live]
         if new:
-            steps.append(("grow", len(new)))
+            segments[-1].append(functools.partial(_grow, len(new)))
             live.extend(new)
 
     for i, op in enumerate(ops[:head]):
         grow(op.qubits)
-        step = _compile_step(len(live), op.kind, tuple(map(live.index, op.qubits)), op.params, op.clbit)
-        if op.kind is GateKind.MEASURE and last[op.qubits[0]] == i:
-            step = ("close",) + step[1:]
-            live.remove(op.qubits[0])
-        steps.append(step)
+        slots = tuple(map(live.index, op.qubits))
+        if op.kind is GateKind.MEASURE:
+            close = last[op.qubits[0]] == i
+            measures.append((slots[0], op.clbit, close))
+            if close:
+                live.remove(op.qubits[0])
+            segments.append([])
+        else:
+            segments[-1].append(_compile_step(len(live), op.kind, slots, op.params))
     qubits = tuple(dict.fromkeys(op.qubits[0] for op in ops[head:]))
     grow(qubits)
-    return steps, tuple(map(live.index, qubits)), [(qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
+    trailing = [(qubits.index(op.qubits[0]), op.clbit) for op in ops[head:]]
+    return segments, measures, tuple(map(live.index, qubits)), trailing
 
 
 def _marginal_table(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
@@ -493,50 +487,41 @@ def _finish(table: np.ndarray, trailing: list[tuple], mi: int, key: str, payload
 
 def _walk(circuit: Circuit, plan: tuple, root, split):
     """Depth-first over measurement histories; yields `_finish`'s (keys,
-    inverse, payload) per history when it runs out of steps.
+    inverse, payload) per history past the plan's last segment.
 
-    A node is one state row plus the classical key and a mode payload of
-    rows: shots when sampling, one weight in exact mode.  `split(payload, mi,
-    p)` takes (p0, p1) per row as a (2, rows) array, or (2, 1) for all rows
+    A node (i, amps, key, payload) runs segment i next, and i is also the
+    draw column of the measure after it.  It holds one state row, at first
+    the single amplitude 1, the classical key and a mode payload of rows:
+    shots when sampling, one weight in exact mode.  `split(payload, mi, p)`
+    takes (p0, p1) per row as a (2, rows) array, or (2, 1) for all rows
     alike, and returns (parent, outcome, payload) for the rows that go on.
-    The state row starts as the single amplitude 1; a ("grow", k) step makes
-    it 2^k times longer, zero past the old row.  Unitary steps run on the
-    row.  At a mid-circuit measure the node's rows of each outcome form a
-    child, outcome 0 first: at an "m" step every child but the last gets a
-    copy of the row and the last collapses it in place; at a "close" step
-    each child gets its outcome's half without the qubit.  Only rows of
-    pending siblings on the current path are held, never one per shot.  Past
-    the last step, the probability table of the plan's table slots
+    At a mid-circuit measure the node's rows of each outcome form a child,
+    outcome 0 first: every child but the last gets a copy of the row and the
+    last collapses it in place, or, if the measure closes its slot, each
+    gets its outcome's half without the qubit.  Only rows of pending
+    siblings on the current path are held, never one per shot.  Past the
+    last segment, the probability table of the plan's table slots
     (`_marginal_table`) goes to `_finish` with the trailing measures.
     """
-    steps, table, trailing = plan
+    segments, measures, table, trailing = plan
     nc = circuit.num_clbits
-    stack = [(0, 0, np.ones(1, complex), "0" * nc, root)]
+    stack = [(0, np.ones(1, complex), "0" * nc, root)]
     while stack:
-        start, mi, amps, key, payload = stack.pop()
+        i, amps, key, payload = stack.pop()
+        for step in segments[i]:
+            amps = step(amps)
         n = amps.size.bit_length() - 1
-        for i, step in enumerate(steps[start:], start):
-            kind = step[0]
-            if kind in _KERNELS:
-                _exec_unitary(amps, step)
-                continue
-            if kind == "grow":
-                amps = np.concatenate((amps, np.zeros(amps.size * ((1 << step[1]) - 1), complex)))
-                n += step[1]
-                continue
-            _, q, c = step
-            p = _branch_probs(amps, n, q)
-            _, outcomes, payload = split(payload, mi, np.array(p)[:, None])
-            children = [(b, sub) for b in (0, 1) if len(sub := payload[outcomes == b])]
-            close = kind == "close"
-            rows = [amps if close else amps.copy() for _ in children[1:]] + [amps]
-            for (outcome, sub), row in reversed(list(zip(children, rows))):
-                row = _collapse(row, n, q, outcome, p[outcome], close)
-                child_key = key[: nc - 1 - c] + str(outcome) + key[nc - c :]
-                stack.append((i + 1, mi + 1, row, child_key, sub))
-            break
-        else:
-            yield _finish(_marginal_table(amps, n, table), trailing, mi, key, payload, split)
+        if i == len(measures):
+            yield _finish(_marginal_table(amps, n, table), trailing, i, key, payload, split)
+            continue
+        q, c, close = measures[i]
+        p = _branch_probs(amps, n, q)
+        _, outcomes, payload = split(payload, i, np.array(p)[:, None])
+        children = [(b, sub) for b in (0, 1) if len(sub := payload[outcomes == b])]
+        rows = [amps if close else amps.copy() for _ in children[1:]] + [amps]
+        for (outcome, sub), row in reversed(list(zip(children, rows))):
+            row = _collapse(row, n, q, outcome, p[outcome], close)
+            stack.append((i + 1, row, key[: nc - 1 - c] + str(outcome) + key[nc - c :], sub))
 
 
 def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
@@ -551,12 +536,16 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
+    try:
+        shots, seed, chunk_size = map(operator.index, (shots, seed, chunk_size))
+    except TypeError:
+        raise ValidationError(f"shots, seed and chunk_size must be integers, got {(shots, seed, chunk_size)}") from None
     if not 1 <= shots <= 2**32:  # so that each shot's stream has one spawn word
         raise ValidationError(f"shots must be from 1 to 2^32, got {shots}")
     if chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
 
-    plan = _compile_plan(circuit)
+    plan = _plan(tuple(circuit.ops))
     n_meas = sum(op.kind is GateKind.MEASURE for op in circuit.ops)
     counts: dict[str, int] = {}
 
@@ -587,8 +576,8 @@ def exact_distribution(circuit: Circuit) -> ExactDistribution:
     """
     if not circuit.has_measurement():
         raise NoMeasurementError("circuit has no measure instruction")
-    steps, table, _ = plan = _compile_plan(circuit)
-    splits = sum(step[0] in ("m", "close") for step in steps) + len(table)
+    _, measures, table, _ = plan = _plan(tuple(circuit.ops))
+    splits = len(measures) + len(table)
     if splits > MEASURE_BRANCH_CAP:
         raise BranchCapError(f"{splits} branch points on one path exceed the {MEASURE_BRANCH_CAP}-branch cap")
 

@@ -6,6 +6,7 @@ per-shot replay and recursive enumeration that the branch walk replaced, kept
 as oracles for it."""
 from __future__ import annotations
 
+import functools
 import math
 import re
 import string
@@ -21,8 +22,8 @@ from gatekit.sim import (
     MIN_BRANCH_PROB,
     Counts,
     ExactDistribution,
+    _apply_general,
     _compile_step,
-    _exec_unitary,
 )
 
 SINGLE_QUBIT = (
@@ -223,24 +224,21 @@ def _measure_batch(states: np.ndarray, n: int, q: int, draws: np.ndarray) -> np.
     return outcome
 
 
-def general_step(n: int, op: GateOp) -> tuple:
+def general_step(n: int, op: GateOp) -> functools.partial:
     """The op as the simulator's general update on its planned subspace pair,
     with the 2x2 block read off its full `unitary_of` matrix: the |01>, |10>
     block for swap, the last two rows and columns otherwise."""
     u = unitary_of(op.kind, op.params)
     block = u[1:3, 1:3] if op.kind is GateKind.SWAP else u[-2:, -2:]
-    return ("general",) + _compile_step(n, op.kind, op.qubits, op.params, op.clbit)[1:4] + (block,)
+    return functools.partial(_apply_general, *_compile_step(n, op.kind, op.qubits, op.params).args[:3], block)
 
 
-def _reference_plan(circuit: Circuit) -> list[tuple]:
-    """One step per op, every unitary as its `general_step` and every measure
-    as ("m", q, c) on the full row: none of the simulator's diag and anti
-    constants or its terminal-measure table."""
+def _reference_plan(circuit: Circuit) -> list:
+    """One step per op on the full row, in program order: every unitary as
+    its `general_step` and every measure as its GateOp.  None of the
+    simulator's diag and anti constants or its terminal-measure table."""
     n = circuit.num_qubits
-    return [
-        _compile_step(n, op.kind, op.qubits, op.params, op.clbit) if op.kind is GateKind.MEASURE else general_step(n, op)
-        for op in circuit.ops
-    ]
+    return [op if op.kind is GateKind.MEASURE else general_step(n, op) for op in circuit.ops]
 
 
 def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
@@ -248,7 +246,7 @@ def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_si
     in chunks of chunk_size shots, with the same per-shot streams."""
     plan = _reference_plan(circuit)
     n, nc = circuit.num_qubits, circuit.num_clbits
-    n_meas = sum(1 for step in plan if step[0] == "m")
+    n_meas = sum(isinstance(step, GateOp) for step in plan)
     counts: dict[str, int] = {}
     for start in range(0, shots, chunk_size):
         size = min(chunk_size, shots - start)
@@ -260,12 +258,12 @@ def reference_run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_si
         creg = np.zeros((size, nc), dtype=np.uint8)
         mi = 0
         for step in plan:
-            if step[0] == "m":
-                creg[:, step[2]] = _measure_batch(states, n, step[1], draws[:, mi])
+            if isinstance(step, GateOp):
+                creg[:, step.clbit] = _measure_batch(states, n, step.qubits[0], draws[:, mi])
                 mi += 1
             else:
                 for row in states:
-                    _exec_unitary(row, step)
+                    step(row)
         for row in creg:
             key = "".join("1" if b else "0" for b in row[::-1])
             counts[key] = counts.get(key, 0) + 1
@@ -282,10 +280,10 @@ def reference_exact_distribution(circuit: Circuit) -> ExactDistribution:
     def walk(amps: np.ndarray, bits: list[int], idx: int, weight: float) -> None:
         for i in range(idx, len(plan)):
             step = plan[i]
-            if step[0] != "m":
-                _exec_unitary(amps, step)
+            if not isinstance(step, GateOp):
+                step(amps)
                 continue
-            _, q, c = step
+            q, c = step.qubits[0], step.clbit
             t = amps.reshape((2,) * n)
             ax = n - 1 - q
             sel0 = [slice(None)] * n

@@ -1,5 +1,6 @@
 """Circuit file format: parsing, canonical serialization, round trips."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ class TestRoundTrip:
     def test_serialize_is_canonical(self, circuit):
         doc = serialize(circuit)
         assert serialize(parse(doc)) == doc
+
+    def test_round_trip_of_list_built_ops(self):
+        c = Circuit(3, 2)
+        c.append(GateOp(GateKind.CNOT, [0, 1]))
+        c.append(GateOp(GateKind.TOFFOLI, [2, 0, 1]))
+        c.append(GateOp(GateKind.MEASURE, [1], clbit=0))
+        assert parse(serialize(c)) == c
+
+    @pytest.mark.parametrize("angle", [np.float64(0.5), np.float32(-0.25), Fraction(1, 3)])
+    def test_numpy_and_fraction_angles_serialize_as_decimals(self, angle):
+        c = Circuit(2, 0)
+        c.append(GateOp(GateKind.RX, (0,), (angle,)))
+        c.append(GateOp(GateKind.CPHASE, (1, 0), (angle,)))
+        doc = serialize(c)
+        assert doc.splitlines()[2:] == [f"rx({float(angle)!r}) 0", f"cphase({float(angle)!r}) 1 0"]
+        assert parse(doc) == c
 
     def test_round_trip_on_seeded_random_circuits(self):
         rng = np.random.default_rng(29)

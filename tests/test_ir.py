@@ -1,5 +1,6 @@
 """Circuit IR: gate kinds, name resolution, construction, validation."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,33 @@ class TestNewCircuit:
     def test_negative_clbits_rejected(self):
         with pytest.raises(ValidationError):
             Circuit(2, -1)
+
+    def test_constructor_checks_its_ops(self):
+        # An op outside the registers was kept, simulated on a row that had
+        # no such qubit, and emitted into a program of the wrong width.
+        with pytest.raises(OperandRangeError):
+            Circuit(1, 1, [GateOp(GateKind.H, (4,)), GateOp(GateKind.MEASURE, (4,), (), 0)])
+        with pytest.raises(OperandRangeError):
+            Circuit(1, 1, [GateOp(GateKind.MEASURE, (0,), (), 1)])
+        with pytest.raises(ValidationError, match="GateOp"):
+            Circuit(1, 1, [("h", [0])])
+        ops = [GateOp(GateKind.H, (0,)), GateOp(GateKind.MEASURE, (0,), (), 0)]
+        assert Circuit(1, 1, ops).ops == ops
+
+
+class TestGateOpCanonicalForm:
+    """Equal ops compare and hash alike however their fields were given."""
+
+    def test_list_operands_are_stored_as_a_tuple(self):
+        op = GateOp(GateKind.CNOT, [0, 1])
+        assert type(op.qubits) is tuple and op == GateOp(GateKind.CNOT, (0, 1))
+        assert hash(op) == hash(GateOp(GateKind.CNOT, (0, 1)))
+
+    @pytest.mark.parametrize("angle", [np.float64(0.5), np.float32(0.5), Fraction(1, 3), 2])
+    def test_angles_are_stored_as_python_floats(self, angle):
+        op = GateOp(GateKind.RX, (0,), [angle])
+        assert type(op.params) is tuple and type(op.params[0]) is float
+        assert op.params[0] == float(angle) and op == GateOp(GateKind.RX, (0,), (float(angle),))
 
 
 class TestAddGate:

@@ -1,5 +1,6 @@
 """Simulator: kernels vs dense oracle, measurement collapse, shot sampling."""
 import copy
+import functools
 import itertools
 import math
 import os
@@ -19,10 +20,9 @@ from gatekit.gates import unitary_of
 from gatekit.sim import (
     ClassicalRegister,
     StateVector,
-    _compile_plan,
     _compile_step,
     _draws,
-    _exec_unitary,
+    _plan,
     apply_gate,
     apply_measure,
     exact_distribution,
@@ -156,11 +156,10 @@ class TestPlannedKernels:
             for qubits in self._operands(rng, n, kind.qubit_arity):
                 op = GateOp(kind, qubits, params)
                 amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-                step = _compile_step(n, kind, qubits, params, None)
-                assert step[0] == planned, (kind, qubits)
-                got, expected = amps.copy(), amps.copy()
-                _exec_unitary(got, step)
-                _exec_unitary(expected, general_step(n, op))
+                step = _compile_step(n, kind, qubits, params)
+                assert step.func is getattr(sim, f"_apply_{planned}"), (kind, qubits)
+                got = step(amps.copy())
+                expected = general_step(n, op)(amps.copy())
                 assert np.array_equal(got, expected), (kind, qubits)
                 dense = dense_gate_matrix(n, qubits, unitary_of(kind, params)) @ amps
                 np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12, err_msg=f"{kind} {qubits}")
@@ -245,6 +244,18 @@ class TestRunShots:
         with pytest.raises(ValidationError, match="2\\^32"):
             run_shots(build_bell(), shots, 0)
 
+    @pytest.mark.parametrize("arg,value", [("shots", 10.0), ("shots", "1"), ("seed", 1.5), ("seed", "1"),
+                                           ("chunk_size", 1.5), ("chunk_size", "1")])
+    def test_non_integer_arguments_are_validation_errors(self, arg, value):
+        from gatekit.algos import build_bell
+
+        args = {"shots": 10, "seed": 0, "chunk_size": 4, arg: value}
+        with pytest.raises(ValidationError, match="integers"):
+            run_shots(build_bell(), **args)
+        # Integers of any type that operator.index takes still run alike.
+        ints = run_shots(build_bell(), np.int64(10), np.uint32(3), chunk_size=np.int8(4))
+        assert ints.entries == run_shots(build_bell(), 10, 3, chunk_size=4).entries
+
     @pytest.mark.parametrize("mid_circuit", [False, True])
     def test_numerically_zero_branch_raises(self, monkeypatch, mid_circuit):
         # Every draw is 0, so each shot takes outcome 1 of ry(1e-9), whose
@@ -263,7 +274,7 @@ class TestRunShots:
         from gatekit.algos import build_bell
 
         assert run_shots(build_bell(), 50, np.int64(7)).entries == run_shots(build_bell(), 50, 7).entries
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError):
             run_shots(build_bell(), 50, 7.0)
 
     def test_repeat_runs_identical(self):
@@ -488,13 +499,15 @@ class TestBranchWalk:
 
     def test_plan_defers_measure_and_drops_unseen_gate(self):
         c = self._dependency_circuit()
-        steps, table, trailing = _compile_plan(c)
+        segments, measures, table, trailing = _plan(tuple(c.ops))
+        # Every kept gate runs before measure 0, so both measures trail.
+        assert len(segments) == 1 and measures == []
         # Qubits enter the row in the order 0-3, so each slot is its qubit.
-        plan = [step for step in steps if step[0] != "grow"]
-        expected = [_compile_step(4, op.kind, op.qubits, op.params, op.clbit) for op in c.ops[:4] + c.ops[5:15]]
-        assert [step[0] for step in plan] == [step[0] for step in expected]
+        plan = [step for step in segments[0] if step.func is not sim._grow]
+        expected = [_compile_step(4, op.kind, op.qubits, op.params) for op in c.ops[:4] + c.ops[5:15]]
+        assert [step.func for step in plan] == [step.func for step in expected]
         for got, want in zip(plan[4:], expected[4:]):
-            assert got[:4] == want[:4] and np.array_equal(got[4], want[4])
+            assert got.args[:3] == want.args[:3] and np.array_equal(got.args[3], want.args[3])
         assert table == (0, 1) and trailing == [(0, 0), (1, 1)]
 
     def test_plan_closes_a_measured_qubit_nothing_reads_again(self):
@@ -509,11 +522,14 @@ class TestBranchWalk:
         c.add_gate("measure", [1, 2])
         c.add_gate("cnot", [1, 2])
         c.add_gate("measure", [2, 2])
-        plan, table, trailing = _compile_plan(c)
-        assert [step[0] for step in plan] == ["grow", "general", "m", "grow", "anti", "close", "m", "grow", "anti"]
-        assert plan[0] == plan[3] == plan[7] == ("grow", 1)
-        assert plan[2] == ("m", 0, 0) and plan[5] == ("close", 0, 1) and plan[6] == ("m", 0, 2)
-        assert plan[4] == plan[8] == _compile_step(2, GateKind.CNOT, (0, 1), (), None)
+        segments, measures, table, trailing = _plan(tuple(c.ops))
+        assert [[step.func for step in segment] for segment in segments] == [
+            [sim._grow, sim._apply_general], [sim._grow, sim._apply_anti], [], [sim._grow, sim._apply_anti]
+        ]
+        assert segments[0][0].args == segments[1][0].args == segments[3][0].args == (1,)
+        assert measures == [(0, 0, False), (0, 1, True), (0, 2, False)]
+        cnot = _compile_step(2, GateKind.CNOT, (0, 1), ())
+        assert segments[1][1].args == segments[3][1].args == cnot.args
         assert table == (1,) and trailing == [(0, 2)]
 
     @classmethod
@@ -538,27 +554,31 @@ class TestBranchWalk:
 
     def test_untouched_qubit_measures_match_oracles(self):
         for i, (circuit, closes) in enumerate(self._idle_measure_circuits(56, 15)):
-            steps, table, trailing = _compile_plan(circuit)
-            kinds = [step[0] for step in steps]
+            segments, measures, table, trailing = _plan(tuple(circuit.ops))
+            grows = [step.args[0] for segment in segments for step in segment if step.func is sim._grow]
+            closed = sum(close for _, _, close in measures)
             # The first trailing qubit, which nothing touched before, enters
             # the row last, into its top slot, just before the table reads it.
-            width = sum(step[1] for step in steps if step[0] == "grow") - kinds.count("close")
-            assert ("close" in kinds) == closes and steps[-1] == ("grow", 1) and table[0] == width - 1
+            last = segments[-1][-1]
+            assert bool(closed) == closes and (last.func, last.args) == (sim._grow, (1,))
+            assert table[0] == sum(grows) - closed - 1
             assert len(table) == len(trailing) == 2 + (not closes)
             self._assert_matches_oracles(circuit, i, (1, 7, 4096))
 
     def test_gates_after_a_deferred_measure_run_once(self, monkeypatch):
         # In program order the ten gates would run on both branches of the
         # first measure, and the final h on all four histories: 28 calls.
+        # The steps bind the kernels when compiled, so the plan is made anew.
         calls = []
-        exec_unitary = sim._exec_unitary
+        sim._plan.cache_clear()
+        for name in ("_apply_general", "_apply_diag", "_apply_anti"):
+            def counting(*args, fn=getattr(sim, name)):
+                calls.append(fn)
+                return fn(*args)
 
-        def counting(*args):
-            calls.append(args)
-            exec_unitary(*args)
-
-        monkeypatch.setattr(sim, "_exec_unitary", counting)
+            monkeypatch.setattr(sim, name, counting)
         exact_distribution(self._dependency_circuit())
+        sim._plan.cache_clear()
         assert len(calls) == 14
 
     @classmethod
@@ -790,7 +810,9 @@ class TestExactDistribution:
 
 
 def _same(a, b) -> bool:
-    """Equal in structure and value, numpy arrays included."""
+    """Equal in structure and value, numpy arrays and plan steps included."""
+    if isinstance(a, functools.partial):
+        return isinstance(b, functools.partial) and a.func is b.func and _same(a.args, b.args)
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
     if isinstance(a, (tuple, list)):
@@ -868,8 +890,8 @@ class TestPlanCache:
             c.add_gate("measure", [1, 1])
             return c
 
-        # The angles are told apart by index, not as dict keys.
-        assert [type(circuit(a).ops[2].params[0]) for a in angles] == list(map(type, angles))
+        # Every angle is stored as a Python float, with its sign.
+        assert [type(circuit(a).ops[2].params[0]) for a in angles] == [float, float]
         assert math.copysign(1, circuit(angles[1]).ops[2].params[0]) == math.copysign(1, angles[1])
         cold = [self._cold(circuit(angle)) for angle in angles]
         assert cold[0] == cold[1]
@@ -905,10 +927,10 @@ class TestPlanCache:
         for _ in range(5):
             c = self._circuit(rng, n=5)
             sim._plan.cache_clear()
-            plan = _compile_plan(c)
+            plan = _plan(tuple(c.ops))
             kept = copy.deepcopy(plan)
             for chunk_size in (1, 7, 4096):
                 run_shots(c, 300, 2, chunk_size=chunk_size)
             exact_distribution(c)
-            assert _compile_plan(c) is plan
+            assert _plan(tuple(c.ops)) is plan
             assert _same(plan, kept)
