@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .ir import Circuit, GateKind, GateOp
 
 DIALECTS = ("qiskit", "cirq", "pennylane", "pyquil", "braket")
@@ -159,8 +160,8 @@ _LINES = {
 
 def translate(circuit: Circuit, dialect: str) -> EmittedProgram:
     """Render the circuit as source text for one of the five dialects."""
-    if dialect not in _LINES:
-        raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
+    if dialect not in DIALECTS:
+        raise ValidationError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
     nq, nc = circuit.num_qubits, circuit.num_clbits
     lines = [head.format(nq=nq, nc=nc) for head in _HEADS[dialect]]
     if dialect == "pyquil" and nc > 0:

@@ -5,7 +5,7 @@ class GatekitError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ValidationError(GatekitError):
+class ValidationError(GatekitError, ValueError):
     """A value violates a structural constraint (counts, signs, finiteness)."""
 
 

@@ -27,30 +27,25 @@ MAX_QUBITS = 24
 
 
 class GateKind(Enum):
-    H = "h"
-    X = "x"
-    Y = "y"
-    Z = "z"
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    CNOT = "cnot"
-    TOFFOLI = "toffoli"
-    SWAP = "swap"
-    CPHASE = "cphase"
-    MEASURE = "measure"
+    """One row per kind: (name, qubit_arity, param_count); the name is the value."""
 
-    @property
-    def qubit_arity(self) -> int:
-        if self in (GateKind.CNOT, GateKind.SWAP, GateKind.CPHASE):
-            return 2
-        if self is GateKind.TOFFOLI:
-            return 3
-        return 1
+    H = ("h", 1, 0)
+    X = ("x", 1, 0)
+    Y = ("y", 1, 0)
+    Z = ("z", 1, 0)
+    RX = ("rx", 1, 1)
+    RY = ("ry", 1, 1)
+    RZ = ("rz", 1, 1)
+    CNOT = ("cnot", 2, 0)
+    TOFFOLI = ("toffoli", 3, 0)
+    SWAP = ("swap", 2, 0)
+    CPHASE = ("cphase", 2, 1)
+    MEASURE = ("measure", 1, 0)
 
-    @property
-    def param_count(self) -> int:
-        return 1 if self in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CPHASE) else 0
+    def __new__(cls, name: str, qubit_arity: int, param_count: int):
+        kind = object.__new__(cls)
+        kind._value_, kind.qubit_arity, kind.param_count = name, qubit_arity, param_count
+        return kind
 
 
 _ALIASES = {
@@ -137,9 +132,7 @@ class Circuit:
         if self.num_clbits < 0:
             raise ValidationError(f"num_clbits must be >= 0, got {self.num_clbits}")
         for op in self.ops:
-            if not isinstance(op, GateOp):
-                raise ValidationError(f"circuit ops must be GateOps, got {op!r}")
-            self._check_ranges(op)
+            self._check(op)
 
     def add_gate(self, name: str, operands: list[int], params: list[float] = ()) -> "Circuit":
         """Append one instruction; on any validation error the circuit is unchanged.
@@ -158,17 +151,18 @@ class Circuit:
             op = GateOp(kind, (operands[0],), params, operands[1])
         else:
             op = GateOp(kind, tuple(operands), params)
-        self._check_ranges(op)
-        self.ops.append(op)
-        return self
+        return self.append(op)
 
     def append(self, op: GateOp) -> "Circuit":
-        """Append an already-built GateOp after range-checking it."""
-        self._check_ranges(op)
+        """Append an already-built GateOp after checking it (`_check`)."""
+        self._check(op)
         self.ops.append(op)
         return self
 
-    def _check_ranges(self, op: GateOp) -> None:
+    def _check(self, op: GateOp) -> None:
+        """Refuse an entry that is not a GateOp or reads outside the registers."""
+        if not isinstance(op, GateOp):
+            raise ValidationError(f"circuit ops must be GateOps, got {op!r}")
         for q in op.qubits:
             if not 0 <= q < self.num_qubits:
                 raise OperandRangeError(

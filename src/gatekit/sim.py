@@ -10,14 +10,13 @@ Conventions:
     default_rng(SeedSequence(entropy=zigzag(seed), spawn_key=(s,))).random(),
     computed for all shots of a chunk at once by `_draws`, one spawn word each.
 
-Every gate is a two-level unitary: one 2x2 block on a pair of subspaces of
-the state row, for cnot, toffoli and cphase the target's two halves with
-every control at 1, for swap |01> and |10>.  Gates and measures address the
-row in place through one reshaped view (`_view`); the full 2^n x 2^n matrix
-is never materialized.  Each step runs the cheapest exact kernel for its
-block: a diagonal one (z, rz, cphase) scales the pair, an anti-diagonal one
-(x, y, cnot, toffoli, swap) exchanges it, and any other runs the general
-2x2 update, with results equal under np.array_equal.
+Every gate is a two-level unitary (`gates.two_level`): one 2x2 block on the
+pair of subspaces of the state row where its operands hold two given basis
+states.  Gates and measures address the row in place through one reshaped
+view (`_view`); the full 2^n x 2^n matrix is never materialized.  Each step
+runs the cheapest exact kernel for its block: a diagonal one scales the
+pair, an anti-diagonal one exchanges it, and any other runs the general 2x2
+update, with results equal under np.array_equal.
 
 run_shots and exact_distribution share one depth-first walk over measurement
 histories (`_walk`).  A node holds one state row; at a measure it splits
@@ -38,7 +37,7 @@ per-measure collapse of the full row in program order.
 The simulator keeps the plan of the last circuit it ran, keyed on the
 circuit's GateOps, so rerunning one circuit, with any seed or shot count or
 as exact_distribution then run_shots, compiles it once, and a changed
-circuit compiles again.  The plan holds 600-730 B a step (see the README).
+circuit compiles again.  The plan holds 460-850 B a step (see the README).
 """
 from __future__ import annotations
 
@@ -213,19 +212,12 @@ def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float, close: b
 
 def _compile_step(n: int, k: GateKind, q: tuple, params: tuple) -> functools.partial:
     """One unitary, given by its parts, as a step: a kernel bound to (shape,
-    s0, s1, block), whose 2x2 block acts on the subspace pair s0, s1 of the
-    row reshaped to `shape` (`_view`).  By the block's zero pattern, the
-    kernel is `_apply_diag` for z, rz and cphase, `_apply_anti` for x, y,
-    cnot, toffoli and swap, and `_apply_general` for any other 1q gate."""
-    if k is GateKind.SWAP:
-        return functools.partial(_apply_anti, *_view(n, q, (0, 1), (1, 0)), (1, 1))
-    ones = (1,) * (len(q) - 1)
-    pair = _view(n, q, ones + (0,), ones + (1,))
-    if k is GateKind.CPHASE:
-        return functools.partial(_apply_diag, *pair, (1, np.exp(1j * params[0])))
-    if len(q) > 1:  # cnot, toffoli
-        return functools.partial(_apply_anti, *pair, (1, 1))
-    u = gates.unitary_of(k, params)
+    s0, s1, block).  The gate's 2x2 block (`gates.two_level`) acts on the
+    subspace pair s0, s1 where its operands q hold bits0 and bits1 in the row
+    reshaped to `shape` (`_view`), and the block's zero pattern picks the
+    kernel: `_apply_diag`, `_apply_anti` or `_apply_general`."""
+    bits0, bits1, u = gates.two_level(k, params)
+    pair = _view(n, q, bits0, bits1)
     if u[0, 1] == 0 and u[1, 0] == 0:
         return functools.partial(_apply_diag, *pair, (u[0, 0], u[1, 1]))
     if u[0, 0] == 0 and u[1, 1] == 0:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from gatekit.algos import build_bell, build_shor15
 from gatekit.dsl import parse
 from gatekit.emit import _GLYPHS, _HEADS, _LINES, DIALECTS, print_circuit, translate
+from gatekit.errors import GatekitError
 from gatekit.ir import Circuit, GateKind
 
 from _helpers import _circuits, random_circuit, read_ops
@@ -125,8 +126,13 @@ class TestTranslate:
             assert translate(circuit, dialect).source == translate(circuit, dialect).source
 
     def test_unknown_dialect_rejected(self):
-        with pytest.raises(ValueError):
-            translate(build_bell(), "qasm")
+        # A typed GatekitError that is still a ValueError; an unhashable
+        # dialect raised a bare TypeError before the tuple check.
+        for dialect in ("qasm", ["qiskit"]):
+            with pytest.raises(ValueError):
+                translate(build_bell(), dialect)
+            with pytest.raises(GatekitError):
+                translate(build_bell(), dialect)
 
     def test_tables_cover_exactly_every_kind(self):
         assert set(_LINES) == set(_HEADS) == set(DIALECTS)

@@ -56,6 +56,15 @@ class TestFixedMatrices:
             unitary_of(GateKind.CPHASE, (math.pi,)), np.diag([1, 1, 1, -1]), atol=1e-12
         )
 
+    def test_cphase_entries(self):
+        # unitary_of and the simulator read one block, so only a literal
+        # matrix catches a wrong one (e^{-i theta} passes CZ and angles-add).
+        np.testing.assert_allclose(
+            unitary_of(GateKind.CPHASE, (0.7,)),
+            np.diag([1, 1, 1, np.exp(0.7j)]),
+            atol=1e-15,
+        )
+
     def test_measure_has_no_unitary(self):
         with pytest.raises(SemanticsError):
             unitary_of(GateKind.MEASURE)

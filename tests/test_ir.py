@@ -37,6 +37,22 @@ class TestGateKind:
     def test_exactly_twelve_kinds(self):
         assert {k.value for k in GateKind} == set(EXPECTED_SIGNATURES)
 
+    def test_rows_in_declaration_order(self):
+        assert [(k.value, k.qubit_arity, k.param_count) for k in GateKind] == [
+            ("h", 1, 0),
+            ("x", 1, 0),
+            ("y", 1, 0),
+            ("z", 1, 0),
+            ("rx", 1, 1),
+            ("ry", 1, 1),
+            ("rz", 1, 1),
+            ("cnot", 2, 0),
+            ("toffoli", 3, 0),
+            ("swap", 2, 0),
+            ("cphase", 2, 1),
+            ("measure", 1, 0),
+        ]
+
     @pytest.mark.parametrize("name,sig", EXPECTED_SIGNATURES.items())
     def test_arity_and_param_count(self, name, sig):
         kind = GateKind(name)
@@ -205,6 +221,14 @@ class TestAddGate:
             assert c.ops == snapshot
         c.add_gate("measure", [2, 0])
         assert len(c.ops) == 3
+
+    @pytest.mark.parametrize("entry", ["h", ("h", [0]), None])
+    def test_append_refuses_a_non_gateop(self, entry):
+        c = Circuit(2, 1).add_gate("h", [0])
+        snapshot = list(c.ops)
+        with pytest.raises(ValidationError, match="GateOp"):
+            c.append(entry)
+        assert c.ops == snapshot
 
     def test_random_appends_preserve_order_and_length(self):
         rng = np.random.default_rng(11)
