@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="emit a circuit as framework source text")
     p.add_argument("file", help='".qc" circuit file, or "-" for stdin')
-    p.add_argument("--to", required=True, metavar="DIALECT", help=f"one of {', '.join(DIALECTS)}")
+    p.add_argument("--to", required=True, choices=DIALECTS, metavar="DIALECT", help=f"one of {', '.join(DIALECTS)}")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("print", help="render a circuit as an ASCII diagram")
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("demo", help="write a built-in example circuit document")
-    p.add_argument("name", help="bell or shor15")
+    p.add_argument("name", choices=_DEMOS, metavar="name", help="bell or shor15")
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("factor15", help="run the full factor-15 pipeline")
@@ -87,10 +87,6 @@ def _pick_seed(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    if args.to not in DIALECTS:
-        print(f"gatekit: error: unknown dialect {args.to!r}; expected one of "
-              f"{', '.join(DIALECTS)}", file=sys.stderr)
-        return 1
     circuit = _read_circuit(args.file)
     sys.stdout.write(translate(circuit, args.to).source)
     return 0
@@ -121,12 +117,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    builder = _DEMOS.get(args.name)
-    if builder is None:
-        print(f"gatekit: error: unknown demo {args.name!r}; expected one of "
-              f"{', '.join(_DEMOS)}", file=sys.stderr)
-        return 1
-    sys.stdout.write(dsl.serialize(builder()))
+    sys.stdout.write(dsl.serialize(_DEMOS[args.name]()))
     return 0
 
 

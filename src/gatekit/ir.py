@@ -131,6 +131,12 @@ class Circuit:
             )
         if self.num_clbits < 0:
             raise ValidationError(f"num_clbits must be >= 0, got {self.num_clbits}")
+        # A list of its own: a tuple or an iterator can be appended to, and
+        # the caller's list cannot change the circuit past `_check`.
+        try:
+            self.ops = list(self.ops)
+        except TypeError:
+            raise ValidationError(f"circuit ops must be an iterable of GateOps, got {self.ops!r}") from None
         for op in self.ops:
             self._check(op)
 

@@ -12,27 +12,29 @@ Conventions:
 
 Every gate is a two-level unitary (`gates.two_level`): one 2x2 block on the
 pair of subspaces of the state row where its operands hold two given basis
-states.  Gates and measures address the row in place through one reshaped
-view (`_view`); the full 2^n x 2^n matrix is never materialized.  Each step
-runs the cheapest exact kernel for its block: a diagonal one scales the
-pair, an anti-diagonal one exchanges it, and any other runs the general 2x2
-update, with results equal under np.array_equal.
+states.  Gates update the row in place, and measures read it, through one
+reshaped view (`_view`); the full 2^n x 2^n matrix is never materialized.
+Each step runs the cheapest exact kernel for its block: a diagonal one
+scales the pair, an anti-diagonal one exchanges it, and any other runs the
+general 2x2 update, with results equal under np.array_equal.
 
 run_shots and exact_distribution share one depth-first walk over measurement
-histories (`_walk`).  A node holds one state row; at a measure it splits
-into its live outcomes, by each shot's own draw when sampling or by branch
-probability when enumerating, so every reachable history is simulated once
-however many shots follow it.  The plan (`_plan`) runs in dependency
-order: it skips gates outside the light cone of the measured qubits and
-runs each unitary before every measure it does not depend on, keeping every
-measure's draw and order.  It is one segment of steps before each
-mid-circuit measure and one after the last, each step a callable that takes
-the row and returns it.  The row holds only the live qubits: a qubit enters
-at its first kept op and leaves at a measure that nothing later reads.  The
-last segment ends at the last unitary; the trailing measures after it run on
-the probability table of their k qubits, once per history, for all of its
-rows at once (`_finish`).  Each can move a p1 by a few ulps against a
-per-measure collapse of the full row in program order.
+histories (`_walk`).  A node owns one state row and holds the classical
+register as an int, bit c for clbit c; at a measure it splits into its live
+outcomes, by each shot's own draw when sampling or by branch probability
+when enumerating, each child with its own collapsed row, so every reachable
+history is simulated once however many shots follow it.  The registers
+become key strings only in the result (`_keyed`).  The plan (`_plan`) runs
+in dependency order: it skips gates outside the light cone of the measured
+qubits and runs each unitary before every measure it does not depend on,
+keeping every measure's draw and order.  It is one segment of steps before
+each mid-circuit measure and one after the last, each step a callable that
+takes the row and returns it.  The row holds only the live qubits: a qubit
+enters at its first kept op and leaves at a measure that nothing later
+reads.  The last segment ends at the last unitary; the trailing measures
+after it run on the probability table of their k qubits, once per history,
+for all of its rows at once (`_finish`).  Each can move a p1 by a few ulps
+against a per-measure collapse of the full row in program order.
 
 The simulator keeps the plan of the last circuit it ran, keyed on the
 circuit's GateOps, so rerunning one circuit, with any seed or shot count or
@@ -130,7 +132,7 @@ class ExactDistribution:
 
 
 # ---------------------------------------------------------------------------
-# kernels over one state row (2^n amplitudes), all updating in place
+# kernels over one state row (2^n amplitudes); the gate kernels update it in place
 
 
 def _view(n: int, qubits: tuple, *bits: tuple) -> tuple:
@@ -198,16 +200,18 @@ def _branch_probs(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
 
 
 def _collapse(amps: np.ndarray, n: int, q: int, outcome: int, p: float, close: bool = False) -> np.ndarray:
-    """Project onto qubit q == outcome and renormalize by p, in place; with
-    `close`, return that half as a new (n-1)-qubit row without qubit q."""
+    """A new row: `amps` projected onto qubit q == outcome and renormalized
+    by p, or with `close` that half alone, an (n-1)-qubit row without qubit
+    q.  `amps` is never written."""
     if p < MIN_BRANCH_PROB:
         raise SimError("measurement branch probability is numerically zero")
-    shape, keep, drop = _view(n, (q,), (outcome,), (1 - outcome,))
+    shape, keep = _view(n, (q,), (outcome,))
+    half = amps.reshape(shape)[keep]
     if close:
-        return (amps.reshape(shape)[keep] / np.sqrt(p)).reshape(-1)
-    amps.reshape(shape)[drop] = 0.0
-    amps /= np.sqrt(p)
-    return amps
+        return (half / np.sqrt(p)).reshape(-1)
+    row = np.zeros_like(amps)
+    np.divide(half, np.sqrt(p), out=row.reshape(shape)[keep])
+    return row
 
 
 def _compile_step(n: int, k: GateKind, q: tuple, params: tuple) -> functools.partial:
@@ -260,10 +264,9 @@ def apply_measure(
     _check_operands(state, (q,))
     if not 0 <= c < len(reg.bits):
         raise SimError(f"clbit {c} out of range for {len(reg.bits)}-bit register")
-    amps = state.amps.copy()
-    p = _branch_probs(amps, state.n, q)
+    p = _branch_probs(state.amps, state.n, q)
     outcome = int(float(rng.random()) < p[1])
-    _collapse(amps, state.n, q, outcome, p[outcome])
+    amps = _collapse(state.amps, state.n, q, outcome, p[outcome])
     bits = list(reg.bits)
     bits[c] = outcome
     return StateVector(state.n, amps), ClassicalRegister(bits)
@@ -447,10 +450,11 @@ def _marginal_table(amps: np.ndarray, n: int, qubits: tuple) -> np.ndarray:
     return t.transpose([axes.index(q) for q in reversed(qubits)]).reshape(-1)
 
 
-def _finish(table: np.ndarray, trailing: list[tuple], mi: int, key: str, payload, split):
+def _finish(table: np.ndarray, trailing: list[tuple], mi: int, reg: int, payload, split):
     """Run the trailing measures, (j, clbit) pairs, on a k-qubit probability
-    table for all rows of `payload` at once; return (keys, inverse, payload):
-    one key per distinct outcome and, per row, the index of its key.
+    table for all rows of `payload` at once; return (regs, inverse, payload):
+    the register `reg` with the trailing measures' clbits written, one int
+    per distinct outcome, and per row the index of its register.
 
     A row's code holds the outcomes of the table qubits fixed so far, which
     are 0..j-1 when qubit j is first measured.  At that measure (m0, m1) is
@@ -458,62 +462,60 @@ def _finish(table: np.ndarray, trailing: list[tuple], mi: int, key: str, payload
     clear and set, and `split` gets p = (m0, m1) / (m0 + m1).  A repeated
     qubit keeps its outcome and draws nothing; its draw column `mi` advances.
     """
-    codes, last, fixed, bit = np.zeros(len(payload), np.int64), {}, 0, np.array([[0], [1]])
+    codes, fixed, bit = np.zeros(len(payload), np.int64), 0, np.array([[0], [1]])
     for mi, (j, c) in enumerate(trailing, mi):
         if j == fixed:
             m = table.reshape(-1, 2 << j).sum(0)[codes | bit << j]
             parent, outcome, payload = split(payload, mi, m / (m[0] + m[1]))
             codes = codes[parent] | outcome << j
             fixed += 1
-        last[c] = j
     # Each clbit ends as the bit of the table qubit last measured into it.
+    last = {c: j for j, c in trailing}
+    reg &= ~sum(1 << c for c in last)
     codes, inverse = np.unique(codes, return_inverse=True)
-    keys = []
-    for code in codes.tolist():
-        chars = list(key)
-        for c, j in last.items():
-            chars[-1 - c] = "01"[code >> j & 1]
-        keys.append("".join(chars))
-    return keys, inverse, payload
+    regs = [reg | sum((code >> j & 1) << c for c, j in last.items()) for code in codes.tolist()]
+    return regs, inverse, payload
 
 
-def _walk(circuit: Circuit, plan: tuple, root, split):
-    """Depth-first over measurement histories; yields `_finish`'s (keys,
+def _walk(plan: tuple, root, split):
+    """Depth-first over measurement histories; yields `_finish`'s (regs,
     inverse, payload) per history past the plan's last segment.
 
-    A node (i, amps, key, payload) runs segment i next, and i is also the
-    draw column of the measure after it.  It holds one state row, at first
-    the single amplitude 1, the classical key and a mode payload of rows:
-    shots when sampling, one weight in exact mode.  `split(payload, mi, p)`
-    takes (p0, p1) per row as a (2, rows) array, or (2, 1) for all rows
-    alike, and returns (parent, outcome, payload) for the rows that go on.
-    At a mid-circuit measure the node's rows of each outcome form a child,
-    outcome 0 first: every child but the last gets a copy of the row and the
-    last collapses it in place, or, if the measure closes its slot, each
-    gets its outcome's half without the qubit.  Only rows of pending
+    A node (i, amps, reg, payload) runs segment i next, and i is also the
+    draw column of the measure after it.  It owns one state row, at first
+    the single amplitude 1, and holds the classical register as an int, bit
+    c for clbit c, and a mode payload of rows: shots when sampling, one
+    weight in exact mode.  `split(payload, mi, p)` takes (p0, p1) per row as
+    a (2, rows) array, or (2, 1) for all rows alike, and returns (parent,
+    outcome, payload) for the rows that go on.  At a mid-circuit measure the
+    node's rows of each outcome form a child, outcome 0 run first, with its
+    own row collapsed from the node's (`_collapse`).  Only rows of pending
     siblings on the current path are held, never one per shot.  Past the
     last segment, the probability table of the plan's table slots
     (`_marginal_table`) goes to `_finish` with the trailing measures.
     """
     segments, measures, table, trailing = plan
-    nc = circuit.num_clbits
-    stack = [(0, np.ones(1, complex), "0" * nc, root)]
+    stack = [(0, np.ones(1, complex), 0, root)]
     while stack:
-        i, amps, key, payload = stack.pop()
+        i, amps, reg, payload = stack.pop()
         for step in segments[i]:
             amps = step(amps)
         n = amps.size.bit_length() - 1
         if i == len(measures):
-            yield _finish(_marginal_table(amps, n, table), trailing, i, key, payload, split)
+            yield _finish(_marginal_table(amps, n, table), trailing, i, reg, payload, split)
             continue
         q, c, close = measures[i]
         p = _branch_probs(amps, n, q)
         _, outcomes, payload = split(payload, i, np.array(p)[:, None])
-        children = [(b, sub) for b in (0, 1) if len(sub := payload[outcomes == b])]
-        rows = [amps if close else amps.copy() for _ in children[1:]] + [amps]
-        for (outcome, sub), row in reversed(list(zip(children, rows))):
-            row = _collapse(row, n, q, outcome, p[outcome], close)
-            stack.append((i + 1, row, key[: nc - 1 - c] + str(outcome) + key[nc - c :], sub))
+        for outcome in (1, 0):
+            if len(sub := payload[outcomes == outcome]):
+                row = _collapse(amps, n, q, outcome, p[outcome], close)
+                stack.append((i + 1, row, reg & ~(1 << c) | outcome << c, sub))
+
+
+def _keyed(tally: dict, nc: int) -> dict:
+    """`tally` keyed by bitstring, clbit nc-1 leftmost, in the same order."""
+    return {format(reg, f"0{nc}b"): value for reg, value in tally.items()}
 
 
 def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 4096) -> Counts:
@@ -539,7 +541,7 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
 
     plan = _plan(tuple(circuit.ops))
     n_meas = sum(op.kind is GateKind.MEASURE for op in circuit.ops)
-    counts: dict[str, int] = {}
+    counts: dict[int, int] = {}
 
     for start in range(0, shots, chunk_size):
         size = min(chunk_size, shots - start)
@@ -552,11 +554,11 @@ def run_shots(circuit: Circuit, shots: int, seed: int = 0, *, chunk_size: int = 
                 raise SimError("measurement branch probability is numerically zero")
             return np.arange(len(idx)), one, idx
 
-        for keys, inverse, _ in _walk(circuit, plan, np.arange(size), split):
-            for key, count in zip(keys, np.bincount(inverse).tolist()):
-                counts[key] = counts.get(key, 0) + count
+        for regs, inverse, _ in _walk(plan, np.arange(size), split):
+            for reg, count in zip(regs, np.bincount(inverse).tolist()):
+                counts[reg] = counts.get(reg, 0) + count
 
-    return Counts(counts, shots)
+    return Counts(_keyed(counts, circuit.num_clbits), shots)
 
 
 def exact_distribution(circuit: Circuit) -> ExactDistribution:
@@ -577,8 +579,8 @@ def exact_distribution(circuit: Circuit) -> ExactDistribution:
         parent, outcome = np.nonzero(p.T > MIN_BRANCH_PROB)
         return parent, outcome, weight[parent] * p[outcome, parent]
 
-    probs: dict[str, float] = {}
-    for keys, inverse, weight in _walk(circuit, plan, np.ones(1), split):
-        for key, p in zip(keys, np.bincount(inverse, weight).tolist()):
-            probs[key] = probs.get(key, 0.0) + p
-    return ExactDistribution(probs)
+    probs: dict[int, float] = {}
+    for regs, inverse, weight in _walk(plan, np.ones(1), split):
+        for reg, p in zip(regs, np.bincount(inverse, weight).tolist()):
+            probs[reg] = probs.get(reg, 0.0) + p
+    return ExactDistribution(_keyed(probs, circuit.num_clbits))

@@ -124,6 +124,15 @@ class TestNewCircuit:
             Circuit(1, 1, [("h", [0])])
         ops = [GateOp(GateKind.H, (0,)), GateOp(GateKind.MEASURE, (0,), (), 0)]
         assert Circuit(1, 1, ops).ops == ops
+        # Any iterable of ops: the circuit keeps a list of its own, which
+        # add_gate extends and a later change to the caller's list misses.
+        for given in (ops, tuple(ops), iter(ops)):
+            c = Circuit(1, 1, given)
+            assert type(c.ops) is list and c.ops == ops and c.ops is not given
+            c.add_gate("x", [0])
+            assert len(c) == 3 and len(ops) == 2
+        with pytest.raises(ValidationError, match="iterable"):
+            Circuit(2, 0, None)
 
 
 class TestGateOpCanonicalForm:

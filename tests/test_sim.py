@@ -1,9 +1,11 @@
 """Simulator: kernels vs dense oracle, measurement collapse, shot sampling."""
 import copy
 import functools
+import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -403,6 +405,34 @@ class TestBranchWalk:
         assert set(got) == set(expected)
         for key, p in expected.items():
             assert abs(got[key] - p) <= 1e-12
+
+    @pytest.mark.parametrize("close", [False, True])
+    def test_collapse_leaves_its_input_unchanged(self, close):
+        amps = np.full(4, 0.5, complex)
+        amps.flags.writeable = False
+        row = sim._collapse(amps, 2, 1, 1, 0.5, close)
+        assert not np.shares_memory(row, amps)
+        assert np.array_equal(amps, np.full(4, 0.5))
+        expected = [INV_SQRT2, INV_SQRT2] if close else [0, 0, INV_SQRT2, INV_SQRT2]
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
+
+    def test_register_wider_than_64_bits(self):
+        # Clbits 0, 64 and 69 are written mid-circuit and again by trailing
+        # measures; no bit past the 64th may be lost.
+        c = Circuit(3, 70)
+        for q in range(3):
+            c.add_gate("h", [q])
+        for q, clbit, angle in ((0, 64, 0.7), (1, 69, 1.1), (2, 0, 0.4)):
+            c.add_gate("measure", [q, clbit])
+            c.add_gate("ry", [(q + 1) % 3], [angle])
+        c.add_gate("cnot", [0, 1])
+        for q, clbit in ((0, 0), (1, 69), (0, 64)):
+            c.add_gate("measure", [q, clbit])
+        self._assert_matches_oracles(c, 5, (1, 4096))
+        keys = list(exact_distribution(c).entries)
+        assert {len(key) for key in keys} == {70}
+        for clbit in (0, 64, 69):
+            assert {key[-1 - clbit] for key in keys} == {"0", "1"}, clbit
 
     @staticmethod
     def _terminal_circuits(seed, count, mid_measure):
@@ -934,3 +964,39 @@ class TestPlanCache:
             exact_distribution(c)
             assert _plan(tuple(c.ops)) is plan
             assert _same(plan, kept)
+
+
+def _digest_circuits():
+    """About 200 seeded circuits, built with the standard library's random
+    (whose streams, unlike numpy's Generator, are promised to stay the same):
+    1-9 qubits, 1-40 ops, a fifth of them measures, then a final measure."""
+    rng = random.Random(2026)
+    for _ in range(200):
+        n, nc = rng.randint(1, 9), rng.randint(1, 4)
+        c = Circuit(n, nc)
+        for _ in range(rng.randint(1, 40)):
+            if rng.random() < 0.2:
+                c.add_gate("measure", [rng.randrange(n), rng.randrange(nc)])
+                continue
+            kind = rng.choice([k for k in GateKind if k is not GateKind.MEASURE and k.qubit_arity <= n])
+            qubits = rng.sample(range(n), kind.qubit_arity)
+            c.add_gate(kind.value, qubits, [rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(kind.param_count)])
+        c.add_gate("measure", [rng.randrange(n), rng.randrange(nc)])
+        yield c
+
+
+# SHA-256 of every count below, keys in order; fixed once and never edited,
+# so a change that moves any seeded count or its key order fails here.
+COUNTS_DIGEST = "c323e245c0f2055913b9e8c953899f53854eb0c1c2f4c550515181037d4ec6e7"
+
+
+def test_seeded_counts_digest():
+    from gatekit.algos import build_bell, build_shor15
+
+    runs = [run_shots(c, 60, seed) for seed, c in enumerate(_digest_circuits())]
+    runs += [run_shots(build_shor15(), 1000, seed) for seed in range(5)]
+    runs.append(run_shots(build_bell(), 1000, 7))
+    digest = hashlib.sha256()
+    for counts in runs:
+        digest.update(repr(list(counts.entries.items())).encode())
+    assert digest.hexdigest() == COUNTS_DIGEST
