@@ -12,7 +12,17 @@ import math
 from dataclasses import dataclass, replace
 
 from .ir import Circuit
-from .sim import Counts, run_shots
+
+
+def __getattr__(name):
+    # `Counts` and `run_shots` are sim's, imported by the functions that use
+    # them so that building a circuit never loads numpy; they are read from
+    # sim on every access, as the package reads its names.
+    if name in ("Counts", "run_shots"):
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,8 @@ def build_shor15() -> Circuit:
 
 def extract_measured_values(counts, n_count: int) -> set[int]:
     """Decode each key's leftmost n_count bits as an integer; drop zero."""
+    from .sim import Counts
+
     entries = counts.entries if isinstance(counts, Counts) else counts
     values = {int(key[:n_count], 2) for key in entries}
     values.discard(0)
@@ -135,6 +147,8 @@ def extract_factors(measured_values: set[int], config: ShorConfig = ShorConfig()
 
 def run_shor15_pipeline(shots: int = 1000, seed: int = 0) -> FactorReport:
     """Simulate the compiled circuit and post-process the counts into factors."""
+    from .sim import run_shots
+
     config = ShorConfig()
     counts = run_shots(build_shor15(), shots, seed)
     measured = extract_measured_values(counts, config.n_count)

@@ -18,15 +18,16 @@ import sys
 from pathlib import Path
 
 from . import dsl
-from .algos import FactorReport, build_bell, build_shor15, run_shor15_pipeline
 from .emit import DIALECTS, print_circuit, translate
 from .errors import GatekitError, ParseError
-from .sim import run_shots
 
 DEFAULT_SHOTS = 1000
 HIST_WIDTH = 50
 
-_DEMOS = {"bell": build_bell, "shor15": build_shor15}
+# Each demo is built by gatekit.algos.build_<name>.  The commands that build
+# or simulate import algos and sim themselves: translate and print never load
+# numpy.
+_DEMOS = ("bell", "shor15")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,6 +100,8 @@ def _cmd_print(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import run_shots
+
     circuit = _read_circuit(args.file)
     seed = _pick_seed(args)
     counts = run_shots(circuit, args.shots, seed)
@@ -117,11 +120,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    sys.stdout.write(dsl.serialize(_DEMOS[args.name]()))
+    from . import algos
+
+    sys.stdout.write(dsl.serialize(getattr(algos, f"build_{args.name}")()))
     return 0
 
 
 def _cmd_factor15(args) -> int:
+    from .algos import run_shor15_pipeline
+
     seed = _pick_seed(args)
     report = run_shor15_pipeline(args.shots, seed)
     _print_report(report)
@@ -132,7 +139,7 @@ def _format_set(values) -> str:
     return "{" + ", ".join(str(v) for v in sorted(values)) + "}"
 
 
-def _print_report(report: FactorReport) -> None:
+def _print_report(report) -> None:
     print("counts:")
     for key, count in sorted(report.counts.entries.items()):
         print(f"  {key} {count}")

@@ -48,7 +48,9 @@ class GateKind(Enum):
         return kind
 
 
-_ALIASES = {
+# Every lower-case gate name and alias -> its kind.
+_BY_NAME = {
+    **{kind.value: kind for kind in GateKind},
     "ccnot": GateKind.TOFFOLI,
     "cx": GateKind.CNOT,
     "cp": GateKind.CPHASE,
@@ -57,14 +59,10 @@ _ALIASES = {
 
 def resolve_gate_name(name: str) -> GateKind:
     """Resolve a gate name (any casing, aliases allowed) to its GateKind."""
-    lowered = name.lower()
-    try:
-        return GateKind(lowered)
-    except ValueError:
-        pass
-    if lowered in _ALIASES:
-        return _ALIASES[lowered]
-    raise UnknownGateError(f"unknown gate name {name!r}")
+    kind = _BY_NAME.get(name.lower())
+    if kind is None:
+        raise UnknownGateError(f"unknown gate name {name!r}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,18 @@ class GateOp:
                 f"{self.kind.value} takes {self.kind.param_count} parameter(s), "
                 f"got {len(self.params)}"
             )
+        # An exact float needs no ABC check and no conversion: add_gate hands
+        # its angles over as a tuple of them, already converted.
+        exact = type(self.params) is tuple
         for angle in self.params:
-            if not isinstance(angle, numbers.Real) or not math.isfinite(angle):
+            if type(angle) is not float:
+                exact = False
+                if not isinstance(angle, numbers.Real):
+                    raise ValidationError(f"angle {angle!r} is not a finite number")
+            if not math.isfinite(angle):
                 raise ValidationError(f"angle {angle!r} is not a finite number")
-        object.__setattr__(self, "params", tuple(map(float, self.params)))
+        if not exact:
+            object.__setattr__(self, "params", tuple(map(float, self.params)))
         if (self.clbit is not None) != (self.kind is GateKind.MEASURE):
             raise ValidationError("clbit must be present exactly for measure")
         if self.clbit is not None and (not isinstance(self.clbit, int) or isinstance(self.clbit, bool)):
@@ -150,7 +156,7 @@ class Circuit:
         if kind is GateKind.MEASURE and len(operands) != 2:
             raise ArityError(f"measure takes [qubit, clbit], got {list(operands)}")
         try:
-            params = tuple(float(p) for p in params)
+            params = tuple(map(float, params))
         except (TypeError, ValueError):
             raise ValidationError(f"{kind.value} angles must be numbers, got {params!r}") from None
         if kind is GateKind.MEASURE:

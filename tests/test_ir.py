@@ -1,5 +1,7 @@
 """Circuit IR: gate kinds, name resolution, construction, validation."""
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +150,66 @@ class TestGateOpCanonicalForm:
         op = GateOp(GateKind.RX, (0,), [angle])
         assert type(op.params) is tuple and type(op.params[0]) is float
         assert op.params[0] == float(angle) and op == GateOp(GateKind.RX, (0,), (float(angle),))
+
+
+class TestAngleConversion:
+    """add_gate reads each angle with float(); a GateOp built directly takes
+    real numbers only.  Both store a tuple of exact floats and refuse an angle
+    with the same error type and message, whichever path converts it."""
+
+    ACCEPTED = [
+        # (angle, add_gate stores, GateOp stores; None: GateOp refuses it)
+        (0.25, 0.25, 0.25),
+        ("1.5", 1.5, None),
+        (np.float64(0.5), 0.5, 0.5),
+        (np.float32(0.5), 0.5, 0.5),
+        (Fraction(1, 3), 1 / 3, 1 / 3),
+        (True, 1.0, 1.0),
+        (2, 2.0, 2.0),
+        (Decimal("0.5"), 0.5, None),
+    ]
+
+    @staticmethod
+    def _stored(params):
+        assert type(params) is tuple and all(type(p) is float for p in params)
+        return params
+
+    @pytest.mark.parametrize("angle,via_add,via_op", ACCEPTED)
+    def test_accepted_angles(self, angle, via_add, via_op):
+        assert self._stored(Circuit(1).add_gate("rx", [0], [angle]).ops[0].params) == (via_add,)
+        if via_op is None:
+            with pytest.raises(ValidationError, match=re.escape(f"angle {angle!r} is not a finite number")):
+                GateOp(GateKind.RX, (0,), (angle,))
+        else:
+            for params in ((angle,), [angle]):
+                assert self._stored(GateOp(GateKind.RX, (0,), params).params) == (via_op,)
+
+    @pytest.mark.parametrize("angle,shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), ("nan", "nan"),
+        (np.float64(math.inf), "inf"),
+    ])
+    def test_non_finite_angles(self, angle, shown):
+        with pytest.raises(ValidationError, match=re.escape(f"angle {shown} is not a finite number")):
+            Circuit(1).add_gate("rx", [0], [angle])
+        with pytest.raises(ValidationError, match=re.escape(f"angle {angle!r} is not a finite number")):
+            GateOp(GateKind.RX, (0,), (angle,))
+
+    @pytest.mark.parametrize("angle", ["abc", None, 1j, [0.5], object()])
+    def test_non_numbers(self, angle):
+        with pytest.raises(ValidationError, match=re.escape(f"rx angles must be numbers, got {[angle]!r}")):
+            Circuit(1).add_gate("rx", [0], [angle])
+        with pytest.raises(ValidationError, match=re.escape(f"angle {angle!r} is not a finite number")):
+            GateOp(GateKind.RX, (0,), (angle,))
+
+    def test_check_order(self):
+        # add_gate converts the angles before GateOp checks the operands;
+        # GateOp checks the qubits, then the angle count, then the values.
+        with pytest.raises(ValidationError, match="angles must be numbers"):
+            Circuit(2).add_gate("h", [0, 1], ["x"])
+        with pytest.raises(ArityError, match="h takes 1 qubit"):
+            GateOp(GateKind.H, (0, 1), ("x",))
+        with pytest.raises(ArityError, match="h takes 0 parameter"):
+            GateOp(GateKind.H, (0,), ("x",))
 
 
 class TestAddGate:
