@@ -9,9 +9,9 @@ four counting qubits (0-3), four work qubits (4-7) holding 7^x mod 15, a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
 
-from .ir import Circuit
+from .ir import Circuit, _Frozen, _Record
 
 
 def __getattr__(name):
@@ -25,12 +25,14 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class ShorConfig:
+class ShorConfig(_Frozen):
     """Fixed problem instance: factor 15 with a 4-qubit counting register."""
 
-    n_count: int = 4
-    modulus: int = 15
+    __match_args__ = __slots__ = ("n_count", "modulus")
+
+    def __init__(self, n_count: int = 4, modulus: int = 15):
+        object.__setattr__(self, "n_count", n_count)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def base_set(self) -> tuple[int, ...]:
@@ -38,16 +40,22 @@ class ShorConfig:
         return tuple(a for a in range(2, self.modulus) if math.gcd(a, self.modulus) == 1)
 
 
-@dataclass
-class FactorReport:
+class FactorReport(_Record):
     """Everything the factoring pipeline produced, intermediate steps included."""
 
-    measured_values: set[int]
-    periods_tried: list[tuple[int, int, bool]]  # (base a, estimate r, accepted)
-    period_found: dict[int, bool]
-    factors: set[int]
-    prime_factors: set[int]
-    counts: Counts | None = None
+    __match_args__ = ("measured_values", "periods_tried", "period_found", "factors",
+                      "prime_factors", "counts")
+
+    # periods_tried holds one (base a, estimate r, accepted) row per try.
+    def __init__(self, measured_values: set[int], periods_tried: list[tuple[int, int, bool]],
+                 period_found: dict[int, bool], factors: set[int], prime_factors: set[int],
+                 counts: Counts | None = None):
+        self.measured_values = measured_values
+        self.periods_tried = periods_tried
+        self.period_found = period_found
+        self.factors = factors
+        self.prime_factors = prime_factors
+        self.counts = counts
 
 
 def build_bell() -> Circuit:
@@ -96,9 +104,9 @@ def build_shor15() -> Circuit:
 
 def extract_measured_values(counts, n_count: int) -> set[int]:
     """Decode each key's leftmost n_count bits as an integer; drop zero."""
-    from .sim import Counts
-
-    entries = counts.entries if isinstance(counts, Counts) else counts
+    # A Counts exists only once sim is loaded; a plain dict must not load it.
+    sim = sys.modules.get(f"{__package__}.sim")
+    entries = counts.entries if sim is not None and isinstance(counts, sim.Counts) else counts
     values = {int(key[:n_count], 2) for key in entries}
     values.discard(0)
     return values
@@ -153,7 +161,8 @@ def run_shor15_pipeline(shots: int = 1000, seed: int = 0) -> FactorReport:
     counts = run_shots(build_shor15(), shots, seed)
     measured = extract_measured_values(counts, config.n_count)
     report = extract_factors(measured, config)
-    return replace(report, counts=counts)
+    report.counts = counts
+    return report
 
 
 def _is_prime(n: int) -> bool:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import secrets
 import sys
 from pathlib import Path
 
@@ -25,8 +23,8 @@ DEFAULT_SHOTS = 1000
 HIST_WIDTH = 50
 
 # Each demo is built by gatekit.algos.build_<name>.  The commands that build
-# or simulate import algos and sim themselves: translate and print never load
-# numpy.
+# or simulate import algos and sim themselves, and json and secrets load only
+# for --format json and --random: translate and print never load numpy.
 _DEMOS = ("bell", "shor15")
 
 
@@ -81,6 +79,8 @@ def _read_circuit(path: str):
 
 def _pick_seed(args) -> int:
     if args.random:
+        import secrets
+
         seed = secrets.randbits(32)
         print(f"seed: {seed}", file=sys.stderr)
         return seed
@@ -110,6 +110,8 @@ def _cmd_simulate(args) -> int:
         for key, count in ordered.items():
             print(f"{key} {count}")
     elif args.format == "json":
+        import json
+
         print(json.dumps({"shots": args.shots, "seed": seed, "counts": ordered}))
     else:
         top = max(ordered.values())

@@ -26,18 +26,21 @@ Per-dialect notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .ir import Circuit, GateKind, GateOp
+from .ir import Circuit, GateKind, GateOp, _Frozen
 
 DIALECTS = ("qiskit", "cirq", "pennylane", "pyquil", "braket")
 
 
-@dataclass(frozen=True)
-class EmittedProgram:
-    dialect: str
-    source: str
+class EmittedProgram(_Frozen):
+    """One translation: its dialect and the complete source text."""
+
+    __match_args__ = __slots__ = ("dialect", "source")
+
+    def __init__(self, dialect: str, source: str):
+        object.__setattr__(self, "dialect", dialect)
+        object.__setattr__(self, "source", source)
 
 
 def _fmt(x: float) -> str:

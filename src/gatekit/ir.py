@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from enum import Enum
 
 from .errors import (
@@ -65,39 +65,76 @@ def resolve_gate_name(name: str) -> GateKind:
     return kind
 
 
-@dataclass(frozen=True)
-class GateOp:
+class _Record:
+    """Value semantics over the fields that __match_args__ names, as a
+    dataclass gives them: a keyword repr, equality of the field tuples with
+    NotImplemented for any other class, and no hash, since a plain record's
+    fields can be reassigned."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose __init__ sets each slot once, past the refusing
+    __setattr__: assigning or deleting a field raises AttributeError, equal
+    records hash alike, and pickle and copy call the class with the fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GateOp(_Frozen):
     """One circuit instruction: a gate kind, its qubits, and any angle."""
 
-    kind: GateKind
-    qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    clbit: int | None = None
+    __match_args__ = __slots__ = ("kind", "qubits", "params", "clbit")
 
-    def __post_init__(self):
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = (),
+                 clbit: int | None = None):
         # Stored as tuples, the angles as Python floats: equal ops compare and hash alike.
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if len(self.qubits) != self.kind.qubit_arity:
+        qubits = tuple(qubits)
+        if len(qubits) != kind.qubit_arity:
             raise ArityError(
-                f"{self.kind.value} takes {self.kind.qubit_arity} qubit(s), "
-                f"got {len(self.qubits)}"
+                f"{kind.value} takes {kind.qubit_arity} qubit(s), got {len(qubits)}"
             )
-        for q in self.qubits:
+        for q in qubits:
             if not isinstance(q, int) or isinstance(q, bool):
                 raise ValidationError(f"qubit index {q!r} is not an integer")
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(set(qubits)) != len(qubits):
             raise DuplicateOperandError(
-                f"{self.kind.value} operands must be distinct, got {list(self.qubits)}"
+                f"{kind.value} operands must be distinct, got {list(qubits)}"
             )
-        if len(self.params) != self.kind.param_count:
+        if len(params) != kind.param_count:
             raise ArityError(
-                f"{self.kind.value} takes {self.kind.param_count} parameter(s), "
-                f"got {len(self.params)}"
+                f"{kind.value} takes {kind.param_count} parameter(s), got {len(params)}"
             )
         # An exact float needs no ABC check and no conversion: add_gate hands
         # its angles over as a tuple of them, already converted.
-        exact = type(self.params) is tuple
-        for angle in self.params:
+        exact = type(params) is tuple
+        for angle in params:
             if type(angle) is not float:
                 exact = False
                 if not isinstance(angle, numbers.Real):
@@ -105,44 +142,65 @@ class GateOp:
             if not math.isfinite(angle):
                 raise ValidationError(f"angle {angle!r} is not a finite number")
         if not exact:
-            object.__setattr__(self, "params", tuple(map(float, self.params)))
-        if (self.clbit is not None) != (self.kind is GateKind.MEASURE):
+            params = tuple(map(float, params))
+        if (clbit is not None) != (kind is GateKind.MEASURE):
             raise ValidationError("clbit must be present exactly for measure")
-        if self.clbit is not None and (not isinstance(self.clbit, int) or isinstance(self.clbit, bool)):
-            raise ValidationError(f"classical-bit index {self.clbit!r} is not an integer")
+        if clbit is not None and (not isinstance(clbit, int) or isinstance(clbit, bool)):
+            raise ValidationError(f"classical-bit index {clbit!r} is not an integer")
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        _set_clbit(self, clbit)
+
+    # Inline rather than through _values: the simulator's plan cache hashes
+    # and compares every op of a circuit on each run.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.qubits, self.params, self.clbit) == (
+                other.kind, other.qubits, other.params, other.clbit
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.qubits, self.params, self.clbit))
 
 
-@dataclass
-class Circuit:
+# The slots' own setters: __init__ stores each field past the refusing __setattr__.
+_set_kind, _set_qubits, _set_params, _set_clbit = (
+    vars(GateOp)[name].__set__ for name in GateOp.__slots__
+)
+
+
+class Circuit(_Record):
     """Ordered instruction list over num_qubits qubits and num_clbits classical bits.
 
     Construction is single-writer; once fully built a Circuit is treated as
     immutable and may be shared freely for emission and simulation.
     """
 
-    num_qubits: int
-    num_clbits: int = 0
-    ops: list[GateOp] = field(default_factory=list)
+    __match_args__ = ("num_qubits", "num_clbits", "ops")
 
-    def __post_init__(self):
-        if not isinstance(self.num_qubits, int) or isinstance(self.num_qubits, bool):
+    def __init__(self, num_qubits: int, num_clbits: int = 0, ops: Iterable[GateOp] = ()):
+        if not isinstance(num_qubits, int) or isinstance(num_qubits, bool):
             raise ValidationError("num_qubits must be an integer")
-        if not isinstance(self.num_clbits, int) or isinstance(self.num_clbits, bool):
+        if not isinstance(num_clbits, int) or isinstance(num_clbits, bool):
             raise ValidationError("num_clbits must be an integer")
-        if self.num_qubits < 1:
-            raise ValidationError(f"need at least 1 qubit, got {self.num_qubits}")
-        if self.num_qubits > MAX_QUBITS:
+        if num_qubits < 1:
+            raise ValidationError(f"need at least 1 qubit, got {num_qubits}")
+        if num_qubits > MAX_QUBITS:
             raise CapacityError(
-                f"{self.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulation cap"
+                f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulation cap"
             )
-        if self.num_clbits < 0:
-            raise ValidationError(f"num_clbits must be >= 0, got {self.num_clbits}")
+        if num_clbits < 0:
+            raise ValidationError(f"num_clbits must be >= 0, got {num_clbits}")
+        self.num_qubits = num_qubits
+        self.num_clbits = num_clbits
         # A list of its own: a tuple or an iterator can be appended to, and
         # the caller's list cannot change the circuit past `_check`.
         try:
-            self.ops = list(self.ops)
+            self.ops = list(ops)
         except TypeError:
-            raise ValidationError(f"circuit ops must be an iterable of GateOps, got {self.ops!r}") from None
+            raise ValidationError(f"circuit ops must be an iterable of GateOps, got {ops!r}") from None
         for op in self.ops:
             self._check(op)
 

@@ -1,7 +1,9 @@
-"""The package namespace: its names, and which commands load numpy."""
+"""The package namespace: its names, and which commands load numpy and the
+standard-library modules that only some commands need."""
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,15 +63,17 @@ class TestNamespace:
 
 
 def _run(args):
-    """Run python -X importtime with args; (return code, stdout, modules imported)."""
+    """Run python -X importtime with args; (return code, stdout, the rest of
+    stderr, modules imported)."""
     src = os.path.dirname(os.path.dirname(gatekit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
                           capture_output=True, text=True, timeout=120)
-    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
-                if line.startswith("import time:")}
+    lines = done.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
     assert "gatekit" in imported, done.stderr
-    return done.returncode, done.stdout, imported
+    stderr = "".join(f"{line}\n" for line in lines if not line.startswith("import time:"))
+    return done.returncode, done.stdout, stderr, imported
 
 
 def _in_process(argv):
@@ -79,8 +83,15 @@ def _in_process(argv):
     return out.getvalue()
 
 
+# Modules that only simulating, --format json or --random may load: numpy
+# costs about 60 ms of a CLI command, and the standard-library rest several
+# ms more.
+HEAVY = {"numpy", "dataclasses", "inspect", "json", "secrets"}
+
+
 class TestImportBoundary:
-    """Only simulating loads numpy: it costs about 60 ms of a CLI command."""
+    """Only simulating loads numpy, and nothing that builds, parses, translates
+    or prints loads dataclasses, inspect, json or secrets."""
 
     @pytest.mark.parametrize("args,expected", [
         (["translate", str(GOLDEN / "allkinds.qc"), "--to", "qiskit"], (GOLDEN / "allkinds.qiskit.txt").read_text()),
@@ -88,22 +99,34 @@ class TestImportBoundary:
         (["demo", "shor15"], serialize(build_shor15())),
     ], ids=["translate", "print", "demo"])
     def test_commands_that_do_not_simulate(self, args, expected):
-        code, stdout, imported = _run(["-m", "gatekit.cli", *args])
+        code, stdout, _, imported = _run(["-m", "gatekit.cli", *args])
         assert (code, stdout) == (0, expected)
-        assert "numpy" not in imported
+        assert not HEAVY & imported
 
     def test_imports_and_building(self):
-        code, stdout, imported = _run(["-c", (
+        code, stdout, _, imported = _run(["-c", (
             "import gatekit, gatekit.cli, gatekit.ir, gatekit.dsl, gatekit.emit\n"
-            "print(len(gatekit.build_shor15()), len(gatekit.Circuit(2).add_gate('rx', [0], [0.5])))"
+            "print(len(gatekit.build_shor15()), len(gatekit.Circuit(2).add_gate('rx', [0], [0.5])))\n"
+            "print(gatekit.extract_measured_values({'01000000': 3}, 4))"
         )])
-        assert (code, stdout) == (0, "33 1\n")
-        assert "numpy" not in imported
+        assert (code, stdout) == (0, "33 1\n{4}\n")
+        assert not HEAVY & imported
 
     def test_commands_that_simulate(self, tmp_path):
         path = tmp_path / "bell.qc"
         path.write_text(BELL_DOC)
-        for args in (["simulate", str(path), "--seed", "7"], ["factor15", "--shots", "200", "--seed", "3"]):
-            code, stdout, imported = _run(["-m", "gatekit.cli", *args])
+        for args in (["simulate", str(path), "--seed", "7"], ["factor15", "--shots", "200", "--seed", "3"],
+                     ["simulate", str(path), "--seed", "7", "--format", "json"]):
+            code, stdout, _, imported = _run(["-m", "gatekit.cli", *args])
             assert (code, stdout) == (0, _in_process(args))
             assert "numpy" in imported
+
+    @pytest.mark.parametrize("command", ["simulate", "factor15"])
+    def test_random_seed(self, tmp_path, command):
+        path = tmp_path / "bell.qc"
+        path.write_text(BELL_DOC)
+        args = [command, str(path)] if command == "simulate" else [command, "--shots", "10"]
+        code, stdout, stderr, imported = _run(["-m", "gatekit.cli", *args, "--random"])
+        assert code == 0 and stdout
+        assert re.fullmatch(r"seed: \d+\n", stderr)
+        assert "secrets" in imported
