@@ -9,7 +9,6 @@ four counting qubits (0-3), four work qubits (4-7) holding 7^x mod 15, a
 from __future__ import annotations
 
 import math
-import sys
 
 from .ir import Circuit, _Frozen, _Record
 
@@ -103,11 +102,9 @@ def build_shor15() -> Circuit:
 
 
 def extract_measured_values(counts, n_count: int) -> set[int]:
-    """Decode each key's leftmost n_count bits as an integer; drop zero."""
-    # A Counts exists only once sim is loaded; a plain dict must not load it.
-    sim = sys.modules.get(f"{__package__}.sim")
-    entries = counts.entries if sim is not None and isinstance(counts, sim.Counts) else counts
-    values = {int(key[:n_count], 2) for key in entries}
+    """Decode each key's leftmost n_count bits as an integer; drop zero.
+    `counts` is a Counts or a plain dict of keys."""
+    values = {int(key[:n_count], 2) for key in counts.keys()}
     values.discard(0)
     return values
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Iterable
 from enum import Enum
 
@@ -42,6 +43,10 @@ class GateKind(Enum):
     CPHASE = ("cphase", 2, 1)
     MEASURE = ("measure", 1, 0)
 
+    # Members are singletons compared by identity; Enum's own hash is a
+    # Python-level hash of the name.
+    __hash__ = object.__hash__
+
     def __new__(cls, name: str, qubit_arity: int, param_count: int):
         kind = object.__new__(cls)
         kind._value_, kind.qubit_arity, kind.param_count = name, qubit_arity, param_count
@@ -69,17 +74,19 @@ class _Record:
     """Value semantics over the fields that __match_args__ names, as a
     dataclass gives them: a keyword repr, equality of the field tuples with
     NotImplemented for any other class, and no hash, since a plain record's
-    fields can be reassigned."""
+    fields can be reassigned.  `_values` reads them with one attrgetter per
+    class, which gives a one-field record's value bare, not in a tuple."""
 
     __slots__ = ()
     __hash__ = None
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
+    def __init_subclass__(cls):
+        if hasattr(cls, "__match_args__"):
+            cls._values = property(operator.attrgetter(*cls.__match_args__))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -95,7 +102,7 @@ class _Frozen(_Record):
     __slots__ = ()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -104,7 +111,7 @@ class _Frozen(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 class GateOp(_Frozen):
@@ -151,18 +158,6 @@ class GateOp(_Frozen):
         _set_qubits(self, qubits)
         _set_params(self, params)
         _set_clbit(self, clbit)
-
-    # Inline rather than through _values: the simulator's plan cache hashes
-    # and compares every op of a circuit on each run.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.qubits, self.params, self.clbit) == (
-                other.kind, other.qubits, other.params, other.clbit
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.qubits, self.params, self.clbit))
 
 
 # The slots' own setters: __init__ stores each field past the refusing __setattr__.

@@ -40,18 +40,20 @@ The simulator keeps the plan of the last circuit it ran, keyed on the
 circuit's GateOps, so rerunning one circuit, with any seed or shot count or
 as exact_distribution then run_shots, compiles it once, and a changed
 circuit compiles again.  The plan holds 460-850 B a step (see the README).
+
+StateVector, ClassicalRegister, Counts and ExactDistribution are records on
+the IR's base, `ir._Record`; the last two share one mapping over `entries`.
 """
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
 from .errors import BranchCapError, NoMeasurementError, SimError, ValidationError
-from .ir import Circuit, GateKind, GateOp
+from .ir import Circuit, GateKind, GateOp, _Record
 
 # A selected measurement branch below this probability means the state is
 # numerically corrupt; renormalizing would amplify garbage.
@@ -62,12 +64,13 @@ MIN_BRANCH_PROB = 1e-15
 MEASURE_BRANCH_CAP = 30
 
 
-@dataclass
-class StateVector:
+class StateVector(_Record):
     """2^n complex amplitudes of an n-qubit register."""
 
-    n: int
-    amps: np.ndarray
+    __match_args__ = ("n", "amps")
+
+    def __init__(self, n: int, amps: np.ndarray):
+        self.n, self.amps = n, amps
 
     @classmethod
     def zero(cls, n: int) -> "StateVector":
@@ -76,37 +79,34 @@ class StateVector:
         amps[0] = 1.0
         return cls(n, amps)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
-
-@dataclass
-class ClassicalRegister:
+class ClassicalRegister(_Record):
     """nc classical bits, all zero at the start of each shot."""
 
-    bits: list[int]
+    __match_args__ = ("bits",)
+
+    def __init__(self, bits: list[int]):
+        self.bits = bits
 
     @classmethod
     def zeros(cls, nc: int) -> "ClassicalRegister":
         return cls([0] * nc)
 
-    def key(self) -> str:
-        """Bitstring with the highest-index bit leftmost."""
-        return "".join(str(b) for b in reversed(self.bits))
+
+_NO_DEFAULT = object()
 
 
-@dataclass
-class Counts:
-    """Occurrences per classical-register bitstring over a shot run."""
+class _Entries(_Record):
+    """A read-only mapping over `entries`; get without a default gives the
+    class's `_zero` for a missing key."""
 
-    entries: dict[str, int]
-    shots: int
+    __slots__ = ()
 
-    def __getitem__(self, key: str) -> int:
+    def __getitem__(self, key: str):
         return self.entries[key]
 
-    def get(self, key: str, default: int = 0) -> int:
-        return self.entries.get(key, default)
+    def get(self, key: str, default=_NO_DEFAULT):
+        return self.entries.get(key, self._zero if default is _NO_DEFAULT else default)
 
     def keys(self):
         return self.entries.keys()
@@ -115,20 +115,24 @@ class Counts:
         return self.entries.items()
 
 
-@dataclass
-class ExactDistribution:
+class Counts(_Entries):
+    """Occurrences per classical-register bitstring over a shot run."""
+
+    __match_args__ = ("entries", "shots")
+    _zero = 0
+
+    def __init__(self, entries: dict[str, int], shots: int):
+        self.entries, self.shots = entries, shots
+
+
+class ExactDistribution(_Entries):
     """Exact probability of every reachable classical-register bitstring."""
 
-    entries: dict[str, float]
+    __match_args__ = ("entries",)
+    _zero = 0.0
 
-    def __getitem__(self, key: str) -> float:
-        return self.entries[key]
-
-    def get(self, key: str, default: float = 0.0) -> float:
-        return self.entries.get(key, default)
-
-    def items(self):
-        return self.entries.items()
+    def __init__(self, entries: dict[str, float]):
+        self.entries = entries
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Value semantics of the package's record classes: GateOp, Circuit,
-EmittedProgram, ShorConfig and FactorReport.
+EmittedProgram, ShorConfig, FactorReport, and sim's StateVector,
+ClassicalRegister, Counts and ExactDistribution.
 
 Construction by position and keyword, field equality, hashing of the frozen
 three, repr strings, refused assignment, and pickle / copy round trips.
@@ -7,11 +8,13 @@ three, repr strings, refused assignment, and pickle / copy round trips.
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from gatekit.algos import FactorReport, ShorConfig, extract_factors
 from gatekit.emit import EmittedProgram, translate
 from gatekit.ir import Circuit, GateKind, GateOp
+from gatekit.sim import ClassicalRegister, Counts, ExactDistribution, StateVector
 
 
 def _circuit():
@@ -33,9 +36,12 @@ SAMPLES = {
     "EmittedProgram": (EmittedProgram("pyquil", "H 0\n"), EmittedProgram("pyquil", "X 0\n")),
     "ShorConfig": (ShorConfig(), ShorConfig(4, 21)),
     "FactorReport": (_report(), FactorReport({4}, [(2, 4, True)], {2: True}, {3, 5}, {3})),
+    "Counts": (Counts({"0": 1}, 1), Counts({"0": 1}, 2)),
+    "ExactDistribution": (ExactDistribution({"0": 1.0}), ExactDistribution({"1": 1.0})),
+    "ClassicalRegister": (ClassicalRegister([0, 1]), ClassicalRegister([1, 1])),
 }
 FROZEN = ("GateOp", "EmittedProgram", "ShorConfig")
-MUTABLE = ("Circuit", "FactorReport")
+MUTABLE = ("Circuit", "FactorReport", "Counts", "ExactDistribution", "ClassicalRegister")
 FIELDS = {
     "GateOp": ("kind", "qubits", "params", "clbit"),
     "Circuit": ("num_qubits", "num_clbits", "ops"),
@@ -43,7 +49,16 @@ FIELDS = {
     "ShorConfig": ("n_count", "modulus"),
     "FactorReport": ("measured_values", "periods_tried", "period_found", "factors",
                      "prime_factors", "counts"),
+    "Counts": ("entries", "shots"),
+    "ExactDistribution": ("entries",),
+    "ClassicalRegister": ("bits",),
 }
+ROUNDTRIPS = [
+    copy.copy,
+    copy.deepcopy,
+    *(lambda value, protocol=p: pickle.loads(pickle.dumps(value, protocol))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+]
 
 
 class TestConstruction:
@@ -166,6 +181,12 @@ class TestRepr:
             "period_found={2: True}, factors={3, 5}, prime_factors={3, 5}, counts=None)"
         )
 
+    def test_sim_records(self):
+        assert repr(Counts({"0": 1}, 1)) == "Counts(entries={'0': 1}, shots=1)"
+        assert repr(ExactDistribution({"0": 1.0})) == "ExactDistribution(entries={'0': 1.0})"
+        assert repr(ClassicalRegister([0, 1])) == "ClassicalRegister(bits=[0, 1])"
+        assert repr(StateVector.zero(1)) == "StateVector(n=1, amps=array([1.+0.j, 0.+0.j]))"
+
 
 class TestFrozen:
     @pytest.mark.parametrize("name", FROZEN)
@@ -189,19 +210,14 @@ class TestFrozen:
     @pytest.mark.parametrize("name", MUTABLE)
     def test_mutable_records_accept_assignment(self, name):
         sample = copy.deepcopy(SAMPLES[name][0])
-        field = FIELDS[name][1]
-        setattr(sample, field, getattr(SAMPLES[name][1], field))
-        assert getattr(sample, field) == getattr(SAMPLES[name][1], field)
+        for field in FIELDS[name]:
+            setattr(sample, field, getattr(SAMPLES[name][1], field))
+            assert getattr(sample, field) == getattr(SAMPLES[name][1], field)
 
 
 class TestRoundTrips:
     @pytest.mark.parametrize("name", SAMPLES)
-    @pytest.mark.parametrize("roundtrip", [
-        copy.copy,
-        copy.deepcopy,
-        *(lambda value, protocol=p: pickle.loads(pickle.dumps(value, protocol))
-          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
-    ])
+    @pytest.mark.parametrize("roundtrip", ROUNDTRIPS)
     def test_copy_equals_original(self, name, roundtrip):
         sample = SAMPLES[name][0]
         again = roundtrip(sample)
@@ -227,3 +243,48 @@ class TestRoundTrips:
         report = _report(run_shots(_circuit(), 20, 1))
         assert copy.deepcopy(report) == report
         assert pickle.loads(pickle.dumps(report)) == report
+
+
+class TestSimRecords:
+    """StateVector, and the mapping methods that Counts and ExactDistribution
+    share.  A StateVector's amps is an array, so two distinct equal states
+    compare as arrays do and raise; amps is compared with np.array_equal."""
+
+    def test_constructors(self):
+        assert Counts(entries={"0": 1}, shots=1) == Counts({"0": 1}, 1)
+        assert ExactDistribution(entries={"0": 1.0}) == ExactDistribution({"0": 1.0})
+        assert ClassicalRegister(bits=[0]) == ClassicalRegister.zeros(1)
+        amps = np.array([1, 0], complex)
+        state = StateVector(n=1, amps=amps)
+        assert state.n == 1 and state.amps is amps
+
+    def test_state_vector_values(self):
+        state = StateVector.zero(2)
+        assert StateVector.__match_args__ == ("n", "amps")
+        assert state == state and state.__eq__((2, state.amps)) is NotImplemented
+        with pytest.raises(ValueError):
+            state == StateVector(2, state.amps.copy())
+        with pytest.raises(TypeError):
+            hash(state)
+
+    @pytest.mark.parametrize("roundtrip", ROUNDTRIPS)
+    def test_state_vector_round_trips(self, roundtrip):
+        state = StateVector.zero(2)
+        again = roundtrip(state)
+        assert type(again) is StateVector and again.n == 2
+        assert np.array_equal(again.amps, state.amps)
+
+    def test_get_defaults(self):
+        counts, dist = Counts({"0": 1}, 1), ExactDistribution({"0": 0.5})
+        assert (counts.get("1"), type(counts.get("1"))) == (0, int)
+        assert (dist.get("1"), type(dist.get("1"))) == (0.0, float)
+        for mapping in (counts, dist):
+            assert mapping.get("1", None) is None and mapping.get("1", default=None) is None
+            assert mapping.get("1", 7) == 7 and mapping.get("0", 7) == mapping["0"]
+            assert list(mapping.items()) == [("0", mapping["0"])]
+            with pytest.raises(KeyError):
+                mapping["1"]
+
+    def test_keys(self):
+        assert list(Counts({"0": 1, "1": 2}, 3).keys()) == ["0", "1"]
+        assert list(ExactDistribution({"1": 1.0}).keys()) == ["1"]
